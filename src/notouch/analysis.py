@@ -14,9 +14,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .circuit import LocalUnitary
-from .engine import RunOutput, apply_gate, post_select
-from .errors import DimensionMismatch, ZeroProbability
+from .engine import RunOutput
+from .errors import DimensionMismatch, PatternMismatch, ZeroProbability
 from .fock import canonicalize, canonicalize_labeled, norm
 from .qubits import QubitState
 
@@ -36,32 +35,101 @@ class MeasurementSetting:
         return np.array([[p, q], [q, -p]], dtype=complex)
 
 
-def _as_setting(value) -> MeasurementSetting:
-    if isinstance(value, MeasurementSetting):
-        return value
-    return MeasurementSetting(float(value))
+class CorrelationEvaluator:
+    """Correlation E(theta_1, ..., theta_k) of one run on k rail pairs.
+
+    Built once per (run, pairs), then evaluated on any batch of settings.  For
+    every accepted term and each of its 2^k rail-rotation branches it stores
+    the canonical key, the outcome sign, the coefficient (amplitude times
+    reordering phase times matrix sign) and which factor, cos(theta/2) or
+    sin(theta/2), each pair contributes.
+
+    Every pair must hold exactly one particle in every accepted term
+    (``PatternMismatch`` otherwise).  Particles outside the pairs are not
+    measured, so a subset of the target pairs gives the marginal correlation.
+    """
+
+    def __init__(self, out: RunOutput, pairs: Sequence[Pair]):
+        if out.probability <= 0.0:
+            raise ZeroProbability("cannot correlate an impossible run")
+        pairs = [tuple(pair) for pair in pairs]
+        if len({m for pair in pairs for m in pair}) != 2 * len(pairs):
+            raise PatternMismatch(f"rail pairs {pairs} must be disjoint mode pairs")
+        self.num_pairs = len(pairs)
+        base = out.accepted.scaled(1.0 / norm(out.accepted))
+        # canonical key -> (outcome, [(coefficient, trig kinds), ...]) in
+        # first-appearance order; kind 0 is cos(theta/2), 1 is sin(theta/2)
+        groups: dict = {}
+        for modes, species, amp in base.items():
+            rails = []
+            for pair in pairs:
+                if (pair[0] in modes) + (pair[1] in modes) != 1:
+                    raise PatternMismatch(
+                        f"accepted term {modes} does not hold exactly one "
+                        f"particle in rail pair {pair}"
+                    )
+                u = 0 if pair[0] in modes else 1
+                rails.append((modes.index(pair[u]), u))
+            for branch in itertools.product((0, 1), repeat=len(pairs)):
+                raw = list(modes)
+                coeff = amp
+                outcome = 1
+                kinds = []
+                for pair, (pos, u), v in zip(pairs, rails, branch):
+                    raw[pos] = pair[v]
+                    outcome *= 1 if v == 0 else -1
+                    kinds.append(int(v != u))
+                    if (v, u) == (1, 1):  # the -p entry of the rotation
+                        coeff = -coeff
+                if species is not None:
+                    key = canonicalize_labeled(raw, species)
+                else:
+                    key, phase = canonicalize(raw, out.statistics)
+                    coeff = coeff * phase
+                groups.setdefault(key, (outcome, []))[1].append((coeff, kinds))
+        self._groups = list(groups.values())
+
+    def __call__(self, *thetas) -> np.ndarray:
+        """Correlation at one angle array per pair, broadcast together.
+
+        Equal-shaped arrays give a list of settings; arrays shaped for
+        broadcasting (``t1[:, None], t2[None, :]``) give a separable grid,
+        built from outer products without a points-by-branches array.
+        """
+        if len(thetas) != self.num_pairs:
+            raise DimensionMismatch("one measurement setting per rail pair required")
+        trig = []
+        for theta in thetas:
+            half = np.asarray(theta, dtype=float) / 2.0
+            trig.append((np.cos(half), np.sin(half)))
+        # Branch terms are summed one by one in construction order, so grid
+        # values, and with them the CHSH grid search's ties, stay bit-stable.
+        numerator = denominator = 0.0
+        for outcome, branches in self._groups:
+            amplitude = None
+            for coeff, kinds in branches:
+                term = coeff
+                for factors, kind in zip(trig, kinds):
+                    term = factors[kind] * term
+                if amplitude is None:
+                    amplitude = term
+                else:
+                    amplitude += term
+            weight = np.abs(amplitude) ** 2
+            numerator = numerator + outcome * weight
+            denominator = denominator + weight
+        return numerator / denominator
 
 
 def correlation(out: RunOutput, settings: Sequence, pairs: Sequence[Pair]) -> float:
-    """Expectation of the product of rail outcomes at the given settings."""
-    if out.probability <= 0.0:
-        raise ZeroProbability("cannot correlate an impossible run")
-    if len(settings) != len(pairs):
-        raise DimensionMismatch("one measurement setting per rail pair required")
-    state = out.accepted.scaled(1.0 / norm(out.accepted))
-    for setting, pair in zip(settings, pairs):
-        gate = LocalUnitary(tuple(pair), _as_setting(setting).matrix)
-        state = apply_gate(state, gate, out.statistics)
-    kept, weight = post_select(state, pairs)
-    if weight <= 0.0:
-        raise ZeroProbability("post-selection kept no events at these settings")
-    total = 0.0
-    for modes, _species, amp in kept.items():
-        sign = 1
-        for pair in pairs:
-            sign *= 1 if pair[0] in modes else -1
-        total += sign * abs(amp) ** 2
-    return total / weight
+    """Expectation of the product of rail outcomes at the given settings.
+
+    Every pair must hold exactly one particle in every accepted term
+    (``PatternMismatch`` otherwise); particles outside ``pairs`` are traced
+    out.  For many settings, build a ``CorrelationEvaluator`` once instead.
+    """
+    thetas = [getattr(setting, "theta", setting) for setting in settings]
+    return float(CorrelationEvaluator(out, pairs)(*thetas))
 
 
 def correlation_table(
@@ -73,11 +141,19 @@ def correlation_table(
     """Correlation on a two-angle grid, rows in (theta1-major) grid order."""
     if len(pairs) != 2:
         raise DimensionMismatch("a correlation table needs exactly two rail pairs")
-    rows = []
-    for t1 in thetas1:
-        for t2 in thetas2:
-            rows.append((float(t1), float(t2), correlation(out, (t1, t2), pairs)))
-    return rows
+    t1 = np.asarray(thetas1, dtype=float)
+    t2 = np.asarray(thetas2, dtype=float)
+    e = CorrelationEvaluator(out, pairs)(t1[:, None], t2[None, :])
+    return list(
+        zip(t1.repeat(len(t2)).tolist(), np.tile(t2, len(t1)).tolist(), e.ravel().tolist())
+    )
+
+
+def _chsh(evaluate: CorrelationEvaluator, settings) -> np.ndarray:
+    """CHSH combination at each row (a, a', b, b') of ``settings``."""
+    a, a_prime, b, b_prime = np.asarray(settings, dtype=float).T
+    e = evaluate(np.stack([a, a, a_prime, a_prime]), np.stack([b, b_prime, b, b_prime]))
+    return e[0] + e[1] + e[2] - e[3]
 
 
 def chsh_value(
@@ -89,83 +165,7 @@ def chsh_value(
     pairs: Sequence[Pair],
 ) -> float:
     """E(a,b) + E(a,b') + E(a',b) - E(a',b')."""
-    e = lambda x, y: correlation(out, (x, y), pairs)  # noqa: E731
-    return e(a, b) + e(a, b_prime) + e(a_prime, b) - e(a_prime, b_prime)
-
-
-def _correlation_grid(
-    out: RunOutput,
-    pairs: Sequence[Pair],
-    thetas1: np.ndarray,
-    thetas2: np.ndarray,
-) -> np.ndarray:
-    """Vectorized two-pair correlation over an angle grid.
-
-    Precomputes, per accepted term and per branch of the two rail rotations,
-    the angle-independent coefficient (amplitude times reordering phase) and
-    which trig factor each angle contributes; the grid evaluation is then a
-    handful of broadcast products.
-    """
-    if len(pairs) != 2:
-        raise DimensionMismatch("grid evaluation supports exactly two rail pairs")
-    if out.probability <= 0.0:
-        raise ZeroProbability("cannot correlate an impossible run")
-
-    base = out.accepted.scaled(1.0 / norm(out.accepted))
-    # trig factor codes: (axis, kind, sign) with kind 0 -> cos(t/2), 1 -> sin(t/2)
-    entries = []
-    for modes, species, amp in base.items():
-        rails = []
-        for k, pair in enumerate(pairs):
-            u = 0 if pair[0] in modes else 1
-            pos = modes.index(pair[u])
-            rails.append((k, pos, u))
-        for branch in itertools.product((0, 1), repeat=len(pairs)):
-            raw = list(modes)
-            coeff = amp
-            outcome = 1
-            factors = []
-            for (k, pos, u), v in zip(rails, branch):
-                raw[pos] = pairs[k][v]
-                outcome *= 1 if v == 0 else -1
-                # [[p, q], [q, -p]] entry at (v, u)
-                kind = 0 if v == u else 1
-                sign = -1.0 if (v, u) == (1, 1) else 1.0
-                factors.append((k, kind, sign))
-            if species is not None:
-                key = canonicalize_labeled(raw, species)
-                phase = 1.0 + 0.0j
-            else:
-                sorted_modes, phase = canonicalize(raw, out.statistics)
-                key = (sorted_modes, None)
-            entries.append((key, outcome, coeff * phase, tuple(factors)))
-
-    p1 = np.cos(np.asarray(thetas1, dtype=float) / 2.0)[:, None]
-    q1 = np.sin(np.asarray(thetas1, dtype=float) / 2.0)[:, None]
-    p2 = np.cos(np.asarray(thetas2, dtype=float) / 2.0)[None, :]
-    q2 = np.sin(np.asarray(thetas2, dtype=float) / 2.0)[None, :]
-    trig = {(0, 0): p1, (0, 1): q1, (1, 0): p2, (1, 1): q2}
-
-    shape = (len(thetas1), len(thetas2))
-    amplitudes: dict = {}
-    outcomes: dict = {}
-    for key, outcome, coeff, factors in entries:
-        term = np.full(shape, coeff, dtype=complex)
-        for axis, kind, sign in factors:
-            term = term * (sign * trig[(axis, kind)])
-        if key not in amplitudes:
-            amplitudes[key] = term
-            outcomes[key] = outcome
-        else:
-            amplitudes[key] = amplitudes[key] + term
-
-    numerator = np.zeros(shape)
-    denominator = np.zeros(shape)
-    for key, grid in amplitudes.items():
-        weight = np.abs(grid) ** 2
-        numerator += outcomes[key] * weight
-        denominator += weight
-    return numerator / denominator
+    return float(_chsh(CorrelationEvaluator(out, pairs), [(a, a_prime, b, b_prime)])[0])
 
 
 def chsh_grid_max(
@@ -177,58 +177,59 @@ def chsh_grid_max(
 ) -> Tuple[float, Tuple[float, float, float, float]]:
     """Maximum CHSH combination over a four-angle grid.
 
-    The grid spans [0, 2 pi) at the given resolution.  The search splits the
-    combination into the two halves that depend on a and a' separately, so
-    the cost stays cubic in the grid size.  With ``refine`` set, the grid
+    The grid spans [0, 2 pi) at the given resolution.  For each pair (b, b')
+    the best a and a' are found separately: the combination is P[b, b'] +
+    M[b, b'] with P = max_a (E(a,b) + E(a,b')) and M = max_a' (E(a',b) -
+    E(a',b')).  P is symmetric and M[b', b] = -min_a' (E(a',b) - E(a',b'))
+    exactly in floating point, so only b' >= b is scanned.  Ties resolve to
+    the first maximum in (b, b', a, a') order.  With ``refine`` set, the grid
     optimum is polished by per-coordinate golden-section sweeps until the
     improvement drops below ``refine_tolerance``.
     """
     n = int(round(360.0 / resolution_deg))
     angles = np.arange(n) * (2.0 * np.pi / n)
-    e = _correlation_grid(out, pairs, angles, angles)
+    evaluate = CorrelationEvaluator(out, pairs)
+    columns = np.ascontiguousarray(evaluate(angles[:, None], angles[None, :]).T)
 
-    best = -np.inf
-    best_idx = (0, 0, 0, 0)
+    totals = np.empty((n, n))
+    scratch = np.empty((n, n))
     for b in range(n):
-        col = e[:, b][:, None]
-        plus = col + e  # over (a, b')
-        minus = col - e  # over (a', b')
-        a_best = plus.argmax(axis=0)
-        ap_best = minus.argmax(axis=0)
-        totals = plus[a_best, np.arange(n)] + minus[ap_best, np.arange(n)]
-        bp = int(totals.argmax())
-        if totals[bp] > best:
-            best = float(totals[bp])
-            best_idx = (int(a_best[bp]), int(ap_best[bp]), b, bp)
-
-    best_angles = tuple(float(angles[i]) for i in best_idx)
+        rows = scratch[: n - b]
+        np.add(columns[b], columns[b:], out=rows)
+        plus = rows.max(axis=1)
+        np.subtract(columns[b], columns[b:], out=rows)
+        totals[b, b:] = plus + rows.max(axis=1)
+        totals[b:, b] = plus - rows.min(axis=1)
+    b, bp = divmod(int(totals.argmax()), n)
+    a = int((columns[b] + columns[bp]).argmax())
+    ap = int((columns[b] - columns[bp]).argmax())
+    best = float(totals[b, bp])
+    best_angles = tuple(float(angles[i]) for i in (a, ap, b, bp))
     if not refine:
         return best, best_angles
 
-    def objective(args):
-        return chsh_value(out, *args, pairs=pairs)
-
     current = list(best_angles)
-    value = objective(current)
+    value = float(_chsh(evaluate, [current])[0])
     step = 2.0 * np.pi / n
+    gr = (np.sqrt(5.0) - 1.0) / 2.0
     while True:
         improved = value
         for i in range(4):
             lo, hi = current[i] - step, current[i] + step
-            gr = (np.sqrt(5.0) - 1.0) / 2.0
             x1 = hi - gr * (hi - lo)
             x2 = lo + gr * (hi - lo)
             for _ in range(40):
                 c1, c2 = list(current), list(current)
                 c1[i], c2[i] = x1, x2
-                if objective(c1) < objective(c2):
+                v1, v2 = _chsh(evaluate, [c1, c2])
+                if v1 < v2:
                     lo = x1
                     x1, x2 = x2, lo + gr * (hi - lo)
                 else:
                     hi = x2
                     x2, x1 = x1, hi - gr * (hi - lo)
             current[i] = (lo + hi) / 2.0
-        value = objective(current)
+        value = float(_chsh(evaluate, [current])[0])
         if value - improved < refine_tolerance:
             break
     return value, tuple(current)

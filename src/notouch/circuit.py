@@ -11,12 +11,13 @@ two-qubit target.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import NotBijective, NotNormalized, SameMode
+from .errors import NoTouchError, NotBijective, NotNormalized, SameMode
 from .fock import Statistics
 from .qubits import QubitState
 
@@ -24,6 +25,16 @@ UNITARY_TOLERANCE = 1e-9
 
 SQRT2 = float(np.sqrt(2.0))
 SQRT5 = float(np.sqrt(5.0))
+
+
+def _mode_labels(values, what: str) -> Tuple[int, ...]:
+    """Integer mode labels; a non-integer label raises instead of truncating."""
+    labels = []
+    for value in values:
+        if isinstance(value, bool) or not hasattr(value, "__index__"):
+            raise NoTouchError(f"{what} mode label {value!r} is not an integer")
+        labels.append(operator.index(value))
+    return tuple(labels)
 
 
 @dataclass(frozen=True)
@@ -40,7 +51,7 @@ class LocalUnitary:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "support", tuple(int(m) for m in self.support))
+        object.__setattr__(self, "support", _mode_labels(self.support, "gate support"))
         mat = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", mat)
 
@@ -58,7 +69,7 @@ class Permute:
     one_line: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "one_line", tuple(int(x) for x in self.one_line))
+        object.__setattr__(self, "one_line", _mode_labels(self.one_line, "permutation"))
 
     def apply(self, mode: int) -> int:
         return self.one_line[mode - 1]
@@ -353,8 +364,49 @@ def _matrix_to_json(matrix: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
 
 
-def _matrix_from_json(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _list(data, what: str) -> list:
+    if not isinstance(data, list):
+        raise NoTouchError(f"circuit file: {what} must be a list")
+    return data
+
+
+def _gate_from_json(g, what: str) -> LocalUnitary:
+    if not isinstance(g, dict) or "support" not in g or "matrix" not in g:
+        raise NoTouchError(f"circuit file: each {what} needs 'support' and 'matrix'")
+    support = _mode_labels(_list(g["support"], f"{what} support"), what)
+    n = len(support)
+    rows = g["matrix"]
+    if not (
+        isinstance(rows, list)
+        and len(rows) == n
+        and all(isinstance(row, list) and len(row) == n for row in rows)
+        and all(
+            isinstance(z, list) and len(z) == 2 and all(map(_is_number, z))
+            for row in rows
+            for z in row
+        )
+    ):
+        raise NoTouchError(
+            f"circuit file: {what} on {list(support)} needs a {n}x{n} matrix of [re, im] pairs"
+        )
+    matrix = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    return LocalUnitary(support, matrix)
+
+
+_CIRCUIT_KEYS = (
+    "num_modes",
+    "input_subsystems",
+    "injections",
+    "input_gates",
+    "permutation",
+    "output_gates",
+    "output_subsystems",
+    "target_pairs",
+)
 
 
 def circuit_to_dict(c: Circuit) -> dict:
@@ -377,21 +429,38 @@ def circuit_to_dict(c: Circuit) -> dict:
 
 
 def circuit_from_dict(data: dict) -> Circuit:
+    """Circuit from its JSON document; a malformed document raises
+    ``NoTouchError`` (missing keys, wrong shapes, non-integer mode labels)."""
+    if not isinstance(data, dict):
+        raise NoTouchError("circuit file must hold a JSON object")
+    missing = [key for key in _CIRCUIT_KEYS if key not in data]
+    if missing:
+        raise NoTouchError(f"circuit file is missing {', '.join(missing)}")
+    if not isinstance(data["num_modes"], int) or isinstance(data["num_modes"], bool):
+        raise NoTouchError("circuit file: num_modes must be an integer")
+
+    def labels(key):
+        return _mode_labels(_list(data[key], key), key)
+
+    def groups(key):
+        return tuple(_mode_labels(_list(sub, key), key) for sub in _list(data[key], key))
+
+    pairs = groups("target_pairs")
+    if any(len(pair) != 2 for pair in pairs):
+        raise NoTouchError("circuit file: every target pair must hold two modes")
     return Circuit(
-        num_modes=int(data["num_modes"]),
-        input_subsystems=tuple(tuple(sub) for sub in data["input_subsystems"]),
-        injections=tuple(data["injections"]),
+        num_modes=data["num_modes"],
+        input_subsystems=groups("input_subsystems"),
+        injections=labels("injections"),
         input_stage=tuple(
-            LocalUnitary(tuple(g["support"]), _matrix_from_json(g["matrix"]))
-            for g in data["input_gates"]
+            _gate_from_json(g, "input gate") for g in _list(data["input_gates"], "input_gates")
         ),
-        permutation=Permute(tuple(data["permutation"])),
+        permutation=Permute(labels("permutation")),
         output_stage=tuple(
-            LocalUnitary(tuple(g["support"]), _matrix_from_json(g["matrix"]))
-            for g in data["output_gates"]
+            _gate_from_json(g, "output gate") for g in _list(data["output_gates"], "output_gates")
         ),
-        output_subsystems=tuple(tuple(sub) for sub in data["output_subsystems"]),
-        target_pairs=tuple((pair[0], pair[1]) for pair in data["target_pairs"]),
+        output_subsystems=groups("output_subsystems"),
+        target_pairs=pairs,
     )
 
 

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .analysis import correlation
+from .analysis import correlation_table, fidelity
 from .circuit import (
     PROTOCOLS,
     Circuit,
@@ -138,21 +138,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_correlate(args: argparse.Namespace) -> int:
     tolerance = _report_tolerance()
     _, circuit = _resolve_circuit(args.protocol)
-    if len(circuit.target_pairs) != 2:
-        raise NoTouchError("correlate requires a circuit with exactly two rail pairs")
     if args.distinguishable:
         out = run_distinguishable(circuit)
         stat_label = "distinguishable"
     else:
         out = run(circuit, Statistics.parse(args.statistics))
         stat_label = args.statistics
-    grid1 = _parse_grid(args.theta1)
-    grid2 = _parse_grid(args.theta2)
-    rows = []
-    for t1 in grid1:
-        for t2 in grid2:
-            e = correlation(out, (t1, t2), circuit.target_pairs)
-            rows.append((t1, t2, e))
+    rows = correlation_table(
+        out, _parse_grid(args.theta1), _parse_grid(args.theta2), circuit.target_pairs
+    )
     if args.format == "json":
         doc = {
             "protocol": args.protocol,
@@ -236,13 +230,12 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     save_circuit(circuit, args.out)
     out = run(circuit, stat)
     achieved = extract_dual_rail(out.accepted, circuit.target_pairs)
-    fid = float(abs(np.vdot(target.amplitudes, achieved.amplitudes)) ** 2)
     doc = {
         "target": [[_sig(z.real), _sig(z.imag)] for z in target.amplitudes],
         "statistics": str(stat),
         "circuit_file": str(args.out),
         "probability": _sig(out.probability),
-        "fidelity": _sig(fid),
+        "fidelity": _sig(fidelity(achieved, target)),
         "metadata": _metadata(tolerance),
     }
     print(json.dumps(doc, indent=2))

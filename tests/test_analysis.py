@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from notouch.analysis import (
+    CorrelationEvaluator,
     MeasurementSetting,
     chsh_grid_max,
     chsh_value,
@@ -10,10 +11,22 @@ from notouch.analysis import (
     fidelity,
     three_tangle,
 )
-from notouch.circuit import bell_circuit, ghz_circuit, w_circuit
-from notouch.engine import extract_dual_rail, run, run_distinguishable
-from notouch.errors import DimensionMismatch, ZeroProbability
-from notouch.fock import BOSON, FERMION
+from notouch.circuit import (
+    LocalUnitary,
+    bell_circuit,
+    ghz_circuit,
+    synthesize_two_qubit,
+    w_circuit,
+)
+from notouch.engine import (
+    apply_gate,
+    extract_dual_rail,
+    post_select,
+    run,
+    run_distinguishable,
+)
+from notouch.errors import DimensionMismatch, PatternMismatch, ZeroProbability
+from notouch.fock import BOSON, FERMION, anyon, norm
 from notouch.qubits import QubitState
 
 PAIRS = bell_circuit().target_pairs
@@ -170,3 +183,118 @@ def test_three_tangle_local_unitary_invariance():
                 )
             rotated = QubitState(3, tensor.reshape(8))
             assert abs(three_tangle(rotated) - expected) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Differential checks of the evaluator against independent oracles
+# ---------------------------------------------------------------------------
+
+
+def _scalar_correlation(out, thetas, pairs):
+    """Rotate every pair with the Fock engine, re-post-select and average."""
+    state = out.accepted.scaled(1.0 / norm(out.accepted))
+    for theta, pair in zip(thetas, pairs):
+        gate = LocalUnitary(tuple(pair), MeasurementSetting(theta).matrix)
+        state = apply_gate(state, gate, out.statistics)
+    kept, weight = post_select(state, pairs)
+    total = 0.0
+    for modes, _species, amp in kept.items():
+        sign = 1
+        for pair in pairs:
+            sign *= 1 if pair[0] in modes else -1
+        total += sign * abs(amp) ** 2
+    return total / weight
+
+
+def _looped_chsh_grid_max(out, pairs, resolution_deg):
+    """The CHSH grid search as one pass per b, keeping the first strict maximum."""
+    n = int(round(360.0 / resolution_deg))
+    angles = np.arange(n) * (2.0 * np.pi / n)
+    e = CorrelationEvaluator(out, pairs)(angles[:, None], angles[None, :])
+    best, best_idx = -np.inf, (0, 0, 0, 0)
+    for b in range(n):
+        plus = e[:, b][:, None] + e
+        minus = e[:, b][:, None] - e
+        a_best = plus.argmax(axis=0)
+        ap_best = minus.argmax(axis=0)
+        totals = plus[a_best, np.arange(n)] + minus[ap_best, np.arange(n)]
+        bp = int(totals.argmax())
+        if totals[bp] > best:
+            best = float(totals[bp])
+            best_idx = (int(a_best[bp]), int(ap_best[bp]), b, bp)
+    return best, tuple(float(angles[i]) for i in best_idx)
+
+
+def _runs(circuit):
+    for stat in (BOSON, FERMION, anyon(0.7), anyon(2.9)):
+        yield run(circuit, stat)
+    yield run_distinguishable(circuit)
+
+
+def _random_targets(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        vec = rng.normal(size=4) + 1j * rng.normal(size=4)
+        yield QubitState(2, vec / np.linalg.norm(vec))
+
+
+@pytest.mark.parametrize("builder", [bell_circuit, ghz_circuit, w_circuit])
+def test_evaluator_matches_scalar_oracle(builder):
+    circuit = builder()
+    pairs = circuit.target_pairs
+    rng = np.random.default_rng(41)
+    thetas = rng.uniform(0, 2 * np.pi, size=(len(pairs), 12))
+    for out in _runs(circuit):
+        batch = CorrelationEvaluator(out, pairs)(*thetas)
+        for j in range(thetas.shape[1]):
+            expected = _scalar_correlation(out, thetas[:, j], pairs)
+            assert abs(batch[j] - expected) < 1e-12
+            assert abs(correlation(out, thetas[:, j], pairs) - expected) < 1e-12
+
+
+def test_table_matches_scalar_oracle_on_synthesized_targets():
+    rng = np.random.default_rng(43)
+    grid1, grid2 = rng.uniform(0, 2 * np.pi, size=(2, 7))
+    for target in _random_targets(47, 4):
+        for stat in (BOSON, FERMION, anyon(float(rng.uniform(0, 2 * np.pi)))):
+            circuit = synthesize_two_qubit(target, stat)
+            out = run(circuit, stat)
+            rows = correlation_table(out, grid1, grid2, circuit.target_pairs)
+            for t1, t2, e in rows:
+                expected = _scalar_correlation(out, (t1, t2), circuit.target_pairs)
+                assert abs(e - expected) < 1e-12
+    out = run_distinguishable(bell_circuit())
+    for t1, t2, e in correlation_table(out, grid1, grid2, PAIRS):
+        assert abs(e - _scalar_correlation(out, (t1, t2), PAIRS)) < 1e-12
+
+
+@pytest.mark.parametrize("resolution", [1.0, 3.0, 10.0])
+def test_chsh_grid_scan_equals_looped_search(resolution):
+    outs = list(_runs(bell_circuit()))
+    outs += [
+        run(synthesize_two_qubit(target, FERMION), FERMION)
+        for target in _random_targets(53, 2)
+    ]
+    if resolution == 1.0:  # the looped oracle is slow at this resolution
+        outs = outs[0:1] + outs[4:6]  # boson, distinguishable, one synthesized
+    for out in outs:
+        got = chsh_grid_max(out, PAIRS, resolution_deg=resolution)
+        assert got == _looped_chsh_grid_max(out, PAIRS, resolution)
+
+
+def test_evaluator_pair_precondition():
+    out = run(bell_circuit(), BOSON)
+    # accepted terms are (1, 3) and (2, 4): each of these pairs holds two or none
+    with pytest.raises(PatternMismatch, match="exactly one particle"):
+        correlation(out, (0.1, 0.2), ((1, 3), (2, 4)))
+    with pytest.raises(PatternMismatch, match="exactly one particle"):
+        chsh_grid_max(out, ((1, 3), (2, 4)), resolution_deg=30.0)
+    with pytest.raises(PatternMismatch, match="disjoint"):
+        CorrelationEvaluator(out, ((1, 2), (2, 3)))
+
+
+def test_evaluator_marginal_on_a_subset_of_pairs():
+    out = run(ghz_circuit(), BOSON)
+    pairs = ghz_circuit().target_pairs[:2]
+    for t1, t2 in ((0.3, 1.2), (2.0, 5.1)):
+        assert abs(correlation(out, (t1, t2), pairs) - np.cos(t1) * np.cos(t2)) < 1e-12

@@ -3,6 +3,7 @@ import pytest
 
 from notouch.circuit import (
     LocalUnitary,
+    Permute,
     bell_circuit,
     circuit_from_dict,
     circuit_to_dict,
@@ -19,7 +20,7 @@ from notouch.circuit import (
     w_input_unitary,
 )
 from notouch.engine import apply_gate, extract_dual_rail, run
-from notouch.errors import NotBijective, NotNormalized, SameMode
+from notouch.errors import NoTouchError, NotBijective, NotNormalized, SameMode
 from notouch.fock import BOSON, FERMION, FockState, anyon
 from notouch.qubits import QubitState
 from dataclasses import replace
@@ -203,3 +204,28 @@ def test_synthesize_is_idempotent_in_effect():
         out2 = extract_dual_rail(run(second, stat).accepted, second.target_pairs)
         overlap = abs(np.vdot(out1.amplitudes, out2.amplitudes)) ** 2
         assert overlap >= 1 - 1e-9
+
+
+def test_mode_labels_must_be_integers():
+    h = hadamard_gate(1, 2).matrix
+    with pytest.raises(NoTouchError, match="2.5"):
+        LocalUnitary((1, 2.5), h)
+    with pytest.raises(NoTouchError, match="4.2"):
+        Permute((1, 4.2, 3, 2))
+    assert LocalUnitary((np.int64(1), 2), h).support == (1, 2)
+
+
+def test_circuit_from_dict_rejects_malformed_documents():
+    doc = circuit_to_dict(bell_circuit())
+    with pytest.raises(NoTouchError, match="input_subsystems"):
+        circuit_from_dict({k: v for k, v in doc.items() if k != "input_subsystems"})
+    bad_shape = circuit_to_dict(bell_circuit())
+    bad_shape["output_gates"] = [{"support": [1, 2], "matrix": [[[1, 0]], [[0, 0]]]}]
+    with pytest.raises(NoTouchError, match="2x2"):
+        circuit_from_dict(bad_shape)
+    bad_pair = circuit_to_dict(bell_circuit())
+    bad_pair["target_pairs"] = [[1, 2, 3], [3, 4]]
+    with pytest.raises(NoTouchError, match="two modes"):
+        circuit_from_dict(bad_pair)
+    with pytest.raises(NoTouchError):
+        circuit_from_dict([doc])

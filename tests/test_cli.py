@@ -262,3 +262,48 @@ def test_run_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "field,value"
     assert "probability,0.5" in lines
+
+
+def _drop_input_subsystems(doc):
+    del doc["input_subsystems"]
+
+
+def _non_square_matrix(doc):
+    doc["input_gates"][0]["matrix"] = doc["input_gates"][0]["matrix"][:1]
+
+
+def _short_matrix_entry(doc):
+    doc["input_gates"][0]["matrix"][0][0] = [0.7]
+
+
+def _fractional_support(doc):
+    doc["input_gates"][0]["support"] = [1.0, 2.5]
+
+
+def _fractional_permutation(doc):
+    doc["permutation"] = [1, 4.2, 3, 2]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _drop_input_subsystems,
+        _non_square_matrix,
+        _short_matrix_entry,
+        _fractional_support,
+        _fractional_permutation,
+    ],
+)
+@pytest.mark.parametrize("command", ["verify", "run"])
+def test_malformed_circuit_file_is_an_input_error(tmp_path, capsys, corrupt, command):
+    from notouch.circuit import bell_circuit, circuit_to_dict
+
+    doc = circuit_to_dict(bell_circuit())
+    corrupt(doc)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    source = ["--file", str(path)] if command == "verify" else ["--protocol", f"file:{path}"]
+    code, out, err = run_cli(capsys, command, *source, "--statistics", "boson")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
