@@ -119,10 +119,6 @@ class Circuit:
     output_subsystems: Tuple[Tuple[int, ...], ...]
     target_pairs: Tuple[Tuple[int, int], ...]
 
-    @property
-    def num_qubits(self) -> int:
-        return len(self.target_pairs)
-
 
 @dataclass(frozen=True)
 class ValidationReport:

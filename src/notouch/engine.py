@@ -5,41 +5,40 @@ input subsystem, apply the input-stage local unitaries, relabel modes by the
 permutation, apply the output-stage local unitaries, then post-select on one
 particle per target rail pair.
 
-Gate application expands each occupied support mode by its matrix column and
-re-canonicalizes every resulting operator product, picking up the exchange
-phase of the statistics.  Expansion branches that would put two particles
-into one mode leave the single-occupancy sector; by default their squared
-weight is moved into the state's ``escaped`` ledger instead of being
-represented (post-selection rejects such events anyway, and no later gate in
-a valid circuit can act on a doubly occupied mode, because stage supports
-are disjoint).  Mass is conserved: ``norm(out)**2 + out.escaped ==
-norm(in)**2 + in.escaped`` for every application.  For fermions the escaped
-weight is always zero, since antisymmetry cancels the offending branches
-exactly.
+``run`` and ``run_distinguishable`` fold the path histories of ``paths``:
+each history whose particles end in distinct modes adds its amplitude (with
+the statistics phase, paid once) to its canonical final pattern.  Histories
+that end with two particles in one mode leave the single-occupancy sector
+and are rejected by post-selection anyway; their squared weight is reported
+as the signed ``escaped`` ledger, ``1 - norm(state)**2``.  For fermions the
+colliding histories cancel exactly, so it is zero only up to rounding.
+
+``apply_gate`` is the gate-level reference: it expands occupied support
+modes by their matrix columns and re-canonicalizes after every gate,
+conserving ``norm**2 + escaped`` per application.  Chained from ``inject``
+it reproduces ``run`` for bosons, fermions and labelled particles, but its
+per-gate anyon phases depend on the order in which commuting gates are
+listed, which is why ``run`` does not use it.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .circuit import Circuit, Gate, LocalUnitary, Permute, validate_circuit
-from .errors import (
-    DoubleOccupancy,
-    InvalidCircuit,
-    PatternMismatch,
-    ZeroState,
-)
+from .circuit import Circuit, Gate, Permute
+from .errors import DoubleOccupancy, PatternMismatch, ZeroState
 from .fock import (
     FockState,
     Statistics,
     canonicalize,
     canonicalize_labeled,
+    norm,
 )
+from .paths import _branch_combinations, _pattern_accepted, _require_valid
 from .qubits import QubitState
 
 Pair = Tuple[int, int]
@@ -63,25 +62,10 @@ class RunOutput:
     statistics: Optional[Statistics]
 
 
-def _require_valid(c: Circuit) -> None:
-    report = validate_circuit(c)
-    if not report.ok:
-        raise InvalidCircuit("; ".join(report.violations))
-
-
 def inject(c: Circuit) -> FockState:
     """Initial state: one particle in each subsystem's injection mode."""
     _require_valid(c)
     return FockState.single(c.num_modes, sorted(c.injections))
-
-
-def inject_distinguishable(c: Circuit) -> FockState:
-    """Initial state with particle labels assigned by subsystem order."""
-    _require_valid(c)
-    labelled = sorted(zip(c.injections, range(1, len(c.injections) + 1)))
-    modes = [m for m, _ in labelled]
-    species = [s for _, s in labelled]
-    return FockState.single(c.num_modes, modes, species=species)
 
 
 def _canonical(raw_modes, species, statistics):
@@ -163,19 +147,6 @@ def apply_gate(
     return FockState(state.num_modes, out, escaped=escaped)
 
 
-def _pattern_accepted(modes: Iterable[int], pairs: Sequence[Pair]) -> bool:
-    """True when each pair holds exactly one particle and no mode outside
-    the pairs is occupied.  Accepts multisets (repeats count as particles),
-    so path-history finals can reuse the same predicate."""
-    counts = Counter(modes)
-    pair_modes = set()
-    for pair in pairs:
-        pair_modes |= set(pair)
-        if counts[pair[0]] + counts[pair[1]] != 1:
-            return False
-    return all(m in pair_modes for m in counts)
-
-
 def post_select(state: FockState, pairs: Sequence[Pair]) -> Tuple[FockState, float]:
     """Project onto one particle per pair; returns the kept part and its weight."""
     seen: set[int] = set()
@@ -192,14 +163,30 @@ def post_select(state: FockState, pairs: Sequence[Pair]) -> Tuple[FockState, flo
     return FockState(state.num_modes, kept), probability
 
 
+def _fold_histories(c: Circuit, statistics: Optional[Statistics]) -> FockState:
+    """Pre-selection state as the sum of the collision-free path histories.
+
+    With ``statistics`` of ``None`` the particles are labelled instead: each
+    carries the position of its subsystem in ``c.input_subsystems``.
+    """
+    species = None
+    if statistics is None:
+        species = [k for _, k in sorted(zip(c.injections, itertools.count(1)))]
+    terms: dict = {}
+    for paths, amplitude in _branch_combinations(c):
+        finals = [modes[3] for modes in paths]
+        if len(set(finals)) != len(finals):
+            continue
+        key, phase = _canonical(finals, species, statistics)
+        terms[key] = terms.get(key, 0.0 + 0.0j) + amplitude * phase
+    state = FockState(c.num_modes, terms)
+    state.escaped = 1.0 - norm(state) ** 2
+    return state
+
+
 def run(c: Circuit, statistics: Statistics) -> RunOutput:
     """Execute the full pipeline for indistinguishable particles."""
-    state = inject(c)
-    for gate in c.input_stage:
-        state = apply_gate(state, gate, statistics)
-    state = apply_gate(state, c.permutation, statistics)
-    for gate in c.output_stage:
-        state = apply_gate(state, gate, statistics)
+    state = _fold_histories(c, statistics)
     accepted, probability = post_select(state, c.target_pairs)
     return RunOutput(state, accepted, probability, statistics)
 
@@ -211,12 +198,7 @@ def run_distinguishable(c: Circuit) -> RunOutput:
     assignments stay orthogonal, so no exchange interference occurs; the
     output carries only classical correlations.
     """
-    state = inject_distinguishable(c)
-    for gate in c.input_stage:
-        state = apply_gate(state, gate, None)
-    state = apply_gate(state, c.permutation, None)
-    for gate in c.output_stage:
-        state = apply_gate(state, gate, None)
+    state = _fold_histories(c, None)
     accepted, probability = post_select(state, c.target_pairs)
     return RunOutput(state, accepted, probability, None)
 

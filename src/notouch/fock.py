@@ -60,11 +60,7 @@ class Statistics:
     @property
     def exchange_phase(self) -> complex:
         """Phase acquired when two creation operators on distinct modes swap."""
-        if self.kind == "boson":
-            return 1.0 + 0.0j
-        if self.kind == "fermion":
-            return -1.0 + 0.0j
-        return cmath.exp(1j * self.theta)
+        return self.reorder_phase(1)
 
     def reorder_phase(self, inversions: int) -> complex:
         """Phase for a reordering with the given number of inversions."""

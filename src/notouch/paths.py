@@ -4,10 +4,15 @@ A path history assigns every particle a definite mode at each stage
 boundary: after injection, after the input stage, after the permutation and
 after the output stage.  A particle changes mode only inside a gate whose
 support contains it, branching once per support mode with the corresponding
-matrix element as amplitude.  The history's amplitude is the product of the
-traversed matrix elements times the exchange phase of the permutation that
-sorts the particles' final modes (particles are identified by injection
-order).
+matrix element as amplitude.
+
+Particles are ordered by ascending injection mode, the creation-operator
+order of the injected state.  A history's amplitude is the product of the
+traversed matrix elements times the statistics phase ``reorder_phase(k)``,
+where ``k`` counts the inversions of the final modes in that particle order;
+the phase is applied once per history, when the final operator product is
+put in canonical (ascending-mode) order.  ``engine.run`` sums the same
+histories, so this is the package's only phase rule for amplitudes.
 
 Two particles "touch" when they share a mode at a stage boundary or sit
 inside the same gate's support during a stage.  The verifier certifies that
@@ -19,17 +24,21 @@ contain.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .circuit import Circuit, LocalUnitary, validate_circuit
-from .engine import _pattern_accepted
 from .errors import InvalidCircuit, TooManyHistories
 from .fock import Statistics, count_inversions
 
 STAGE_BOUNDARIES = ("injection", "input", "permutation", "output")
 
 DEFAULT_HISTORY_LIMIT = 10**6
+
+Pair = Tuple[int, int]
+Boundaries = Tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -69,6 +78,25 @@ class TouchReport:
         return "pass" if self.passed else "fail"
 
 
+def _require_valid(c: Circuit) -> None:
+    report = validate_circuit(c)
+    if not report.ok:
+        raise InvalidCircuit("; ".join(report.violations))
+
+
+def _pattern_accepted(modes: Iterable[int], pairs: Sequence[Pair]) -> bool:
+    """True when each pair holds exactly one particle and no mode outside
+    the pairs is occupied.  Accepts multisets (repeats count as particles),
+    so path-history finals can reuse the same predicate."""
+    counts = Counter(modes)
+    pair_modes = set()
+    for pair in pairs:
+        pair_modes |= set(pair)
+        if counts[pair[0]] + counts[pair[1]] != 1:
+            return False
+    return all(m in pair_modes for m in counts)
+
+
 def _stage_gate_for(mode: int, gates: Sequence[LocalUnitary]):
     for gate in gates:
         if mode in gate.support:
@@ -76,7 +104,7 @@ def _stage_gate_for(mode: int, gates: Sequence[LocalUnitary]):
     return None
 
 
-def _particle_paths(c: Circuit, injected: int) -> List[Tuple[Tuple[int, int, int, int], complex]]:
+def _particle_paths(c: Circuit, injected: int) -> List[Tuple[Boundaries, complex]]:
     """All branch choices for one particle: boundary modes and amplitude."""
     paths = []
     gate_in = _stage_gate_for(injected, c.input_stage)
@@ -101,6 +129,28 @@ def _particle_paths(c: Circuit, injected: int) -> List[Tuple[Tuple[int, int, int
     return paths
 
 
+def _branch_combinations(
+    c: Circuit, max_histories: Optional[int] = None
+) -> Iterator[Tuple[Tuple[Boundaries, ...], complex]]:
+    """Stream every history as its particles' boundary modes and the product
+    of its matrix elements, particles in ascending injection mode.
+
+    The circuit is validated and ``max_histories`` enforced up front.
+    """
+    _require_valid(c)
+    per_particle = [_particle_paths(c, mode) for mode in sorted(c.injections)]
+    if max_histories is not None:
+        total = math.prod(len(paths) for paths in per_particle)
+        if total > max_histories:
+            raise TooManyHistories(
+                f"{total} histories exceed the enumeration limit of {max_histories}"
+            )
+    return (
+        (tuple(modes for modes, _ in combo), math.prod(amp for _, amp in combo))
+        for combo in itertools.product(*per_particle)
+    )
+
+
 def enumerate_histories(
     c: Circuit,
     statistics: Statistics,
@@ -114,30 +164,12 @@ def enumerate_histories(
     final pattern, where such branches either cancel or correspond to weight
     outside the single-occupancy sector.
     """
-    report = validate_circuit(c)
-    if not report.ok:
-        raise InvalidCircuit("; ".join(report.violations))
-
-    per_particle = [_particle_paths(c, mode) for mode in c.injections]
-    total = 1
-    for paths in per_particle:
-        total *= len(paths)
-    if total > max_histories:
-        raise TooManyHistories(
-            f"{total} histories exceed the enumeration limit of {max_histories}"
-        )
-
     histories = []
-    for combo in itertools.product(*per_particle):
-        amplitude = 1.0 + 0.0j
-        for _, amp in combo:
-            amplitude *= amp
-        finals = tuple(modes[3] for modes, _ in combo)
+    for paths, amplitude in _branch_combinations(c, max_histories):
+        finals = tuple(modes[3] for modes in paths)
         if len(set(finals)) == len(finals):
             amplitude *= statistics.reorder_phase(count_inversions(finals))
-        boundaries = tuple(
-            tuple(modes[b] for modes, _ in combo) for b in range(4)
-        )
+        boundaries = tuple(tuple(modes[b] for modes in paths) for b in range(4))
         histories.append(PathHistory(boundaries, amplitude))
     return histories
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroState
+from .errors import DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -28,22 +28,8 @@ class QubitState:
             )
         object.__setattr__(self, "amplitudes", amps)
 
-    @classmethod
-    def from_amplitudes(cls, amplitudes) -> "QubitState":
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        k = int(np.log2(len(amps)))
-        if 2**k != len(amps):
-            raise DimensionMismatch("amplitude vector length is not a power of two")
-        return cls(k, amps)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "QubitState":
-        n = self.norm()
-        if n == 0.0:
-            raise ZeroState("cannot normalize the zero vector")
-        return QubitState(self.num_qubits, self.amplitudes / n)
 
     def amplitude(self, bits) -> complex:
         """Amplitude of the basis state given by a bit sequence (qubit 1 first)."""

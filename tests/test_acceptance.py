@@ -139,7 +139,10 @@ def test_criterion_08_history_sum_oracle():
         circuit = builder()
         for stat in ALL_STATS:
             sums = history_pattern_sums(enumerate_histories(circuit, stat))
-            pre = run(circuit, stat).pre_selection
+            # run() folds these same histories; the gate-by-gate chain does not
+            pre = inject(circuit)
+            for gate in (*circuit.input_stage, circuit.permutation, *circuit.output_stage):
+                pre = apply_gate(pre, gate, stat)
             patterns = set(sums) | {modes for modes, _, _ in pre.items()}
             for pattern in patterns:
                 assert abs(sums.get(pattern, 0.0) - pre.amplitude(pattern)) <= TOL

@@ -14,7 +14,6 @@ from notouch.engine import (
     computational_distribution,
     extract_dual_rail,
     inject,
-    inject_distinguishable,
     post_select,
     run,
     run_distinguishable,
