@@ -35,14 +35,25 @@ class MeasurementSetting:
         return np.array([[p, q], [q, -p]], dtype=complex)
 
 
+# One pair's product of two half-angle factors, indexed [u, v] with 0 for
+# cos(theta/2) and 1 for sin(theta/2), over the basis (1, cos theta, sin
+# theta): cos^2 = (1 + cos)/2, sin^2 = (1 - cos)/2, cos sin = sin/2.
+_HALF_PRODUCTS = np.array(
+    [[[0.5, 0.5, 0.0], [0.0, 0.0, 0.5]], [[0.0, 0.0, 0.5], [0.5, -0.5, 0.0]]]
+).reshape(4, 3)
+
+
 class CorrelationEvaluator:
     """Correlation E(theta_1, ..., theta_k) of one run on k rail pairs.
 
-    Built once per (run, pairs), then evaluated on any batch of settings.  For
-    every accepted term and each of its 2^k rail-rotation branches it stores
-    the canonical key, the outcome sign, the coefficient (amplitude times
-    reordering phase times matrix sign) and which factor, cos(theta/2) or
-    sin(theta/2), each pair contributes.
+    Built once per (run, pairs), then evaluated on any batch of settings.
+    After one rail rotation per pair, every branch amplitude is multilinear
+    in cos(theta/2) and sin(theta/2), so the outcome-weighted and the total
+    detection weight are trigonometric polynomials.  Construction reduces
+    them to two real tensors N and D of shape (3,) * k over the basis
+    f(theta) = (1, cos theta, sin theta) per pair, and E = N[f, ...] /
+    D[f, ...].  Building them takes O(4^k) memory, fine for the few pairs a
+    correlation experiment measures.
 
     Every pair must hold exactly one particle in every accepted term
     (``PatternMismatch`` otherwise).  Particles outside the pairs are not
@@ -55,11 +66,12 @@ class CorrelationEvaluator:
         pairs = [tuple(pair) for pair in pairs]
         if len({m for pair in pairs for m in pair}) != 2 * len(pairs):
             raise PatternMismatch(f"rail pairs {pairs} must be disjoint mode pairs")
-        self.num_pairs = len(pairs)
+        k = self.num_pairs = len(pairs)
         base = out.accepted.scaled(1.0 / norm(out.accepted))
-        # canonical key -> (outcome, [(coefficient, trig kinds), ...]) in
-        # first-appearance order; kind 0 is cos(theta/2), 1 is sin(theta/2)
-        groups: dict = {}
+        # canonical key -> (outcome, amplitude per column), where the column's
+        # bits say which factor each pair contributes: 0 for cos(theta/2),
+        # 1 for sin(theta/2)
+        branches: dict = {}
         for modes, species, amp in base.items():
             rails = []
             for pair in pairs:
@@ -70,15 +82,15 @@ class CorrelationEvaluator:
                     )
                 u = 0 if pair[0] in modes else 1
                 rails.append((modes.index(pair[u]), u))
-            for branch in itertools.product((0, 1), repeat=len(pairs)):
+            for branch in itertools.product((0, 1), repeat=k):
                 raw = list(modes)
                 coeff = amp
                 outcome = 1
-                kinds = []
+                column = 0
                 for pair, (pos, u), v in zip(pairs, rails, branch):
                     raw[pos] = pair[v]
                     outcome *= 1 if v == 0 else -1
-                    kinds.append(int(v != u))
+                    column = 2 * column + int(v != u)
                     if (v, u) == (1, 1):  # the -p entry of the rotation
                         coeff = -coeff
                 if species is not None:
@@ -86,39 +98,34 @@ class CorrelationEvaluator:
                 else:
                     key, phase = canonicalize(raw, out.statistics)
                     coeff = coeff * phase
-                groups.setdefault(key, (outcome, []))[1].append((coeff, kinds))
-        self._groups = list(groups.values())
+                entry = branches.setdefault(key, (outcome, np.zeros(2**k, dtype=complex)))
+                entry[1][column] += coeff
+        outcomes = np.array([outcome for outcome, _ in branches.values()], dtype=float)
+        amplitudes = np.array([amplitude for _, amplitude in branches.values()])
+        # Weights Re(a_u conj(a_v)) summed over keys, with and without the
+        # outcome sign; each pair's (u, v) then maps onto (1, cos, sin).
+        signed = amplitudes.T * outcomes
+        grams = np.stack([signed @ amplitudes.conj(), amplitudes.T @ amplitudes.conj()]).real
+        order = [0] + [1 + i for p in range(k) for i in (p, k + p)]
+        surface = grams.reshape((2,) * (2 * k + 1)).transpose(order).reshape((2,) + (4,) * k)
+        for _ in range(k):
+            surface = np.tensordot(surface, _HALF_PRODUCTS, axes=(1, 0))
+        self._surface = surface  # N and D stacked, shape (2,) + (3,) * k
 
     def __call__(self, *thetas) -> np.ndarray:
         """Correlation at one angle array per pair, broadcast together.
 
         Equal-shaped arrays give a list of settings; arrays shaped for
-        broadcasting (``t1[:, None], t2[None, :]``) give a separable grid,
-        built from outer products without a points-by-branches array.
+        broadcasting (``t1[:, None], t2[None, :]``) give a separable grid.
         """
         if len(thetas) != self.num_pairs:
             raise DimensionMismatch("one measurement setting per rail pair required")
-        trig = []
-        for theta in thetas:
-            half = np.asarray(theta, dtype=float) / 2.0
-            trig.append((np.cos(half), np.sin(half)))
-        # Branch terms are summed one by one in construction order, so grid
-        # values, and with them the CHSH grid search's ties, stay bit-stable.
-        numerator = denominator = 0.0
-        for outcome, branches in self._groups:
-            amplitude = None
-            for coeff, kinds in branches:
-                term = coeff
-                for factors, kind in zip(trig, kinds):
-                    term = factors[kind] * term
-                if amplitude is None:
-                    amplitude = term
-                else:
-                    amplitude += term
-            weight = np.abs(amplitude) ** 2
-            numerator = numerator + outcome * weight
-            denominator = denominator + weight
-        return numerator / denominator
+        thetas = [np.asarray(theta, dtype=float) for theta in thetas]
+        ndim = max((theta.ndim for theta in thetas), default=0)
+        surface = self._surface.reshape(self._surface.shape + (1,) * ndim)
+        for theta in thetas:  # contract N and D with f(theta), one pair at a time
+            surface = surface[:, 0] + surface[:, 1] * np.cos(theta) + surface[:, 2] * np.sin(theta)
+        return surface[0] / surface[1]
 
 
 def correlation(out: RunOutput, settings: Sequence, pairs: Sequence[Pair]) -> float:
@@ -151,8 +158,8 @@ def correlation_table(
 
 def _chsh(evaluate: CorrelationEvaluator, settings) -> np.ndarray:
     """CHSH combination at each row (a, a', b, b') of ``settings``."""
-    a, a_prime, b, b_prime = np.asarray(settings, dtype=float).T
-    e = evaluate(np.stack([a, a, a_prime, a_prime]), np.stack([b, b_prime, b, b_prime]))
+    angles = np.asarray(settings, dtype=float).T  # rows a, a', b, b'
+    e = evaluate(angles[[0, 0, 1, 1]], angles[[2, 3, 2, 3]])
     return e[0] + e[1] + e[2] - e[3]
 
 
@@ -180,30 +187,52 @@ def chsh_grid_max(
     The grid spans [0, 2 pi) at the given resolution.  For each pair (b, b')
     the best a and a' are found separately: the combination is P[b, b'] +
     M[b, b'] with P = max_a (E(a,b) + E(a,b')) and M = max_a' (E(a',b) -
-    E(a',b')).  P is symmetric and M[b', b] = -min_a' (E(a',b) - E(a',b'))
-    exactly in floating point, so only b' >= b is scanned.  Ties resolve to
-    the first maximum in (b, b', a, a') order.  With ``refine`` set, the grid
-    optimum is polished by per-coordinate golden-section sweeps until the
-    improvement drops below ``refine_tolerance``.
+    E(a',b')).  Instead of computing all n^2 totals at O(n) each, the scan
+    bounds them: it fits E(a, b) ~ f(a) . R . f(b) with f = (1, cos, sin),
+    whose residual eta = max |E - fit| on the grid it measures.  With g_b = R
+    f(b), the fitted total is 2 g_b[0] plus the lengths r+ and r- of the
+    (cos, sin) parts of g_b + g_b' and g_b - g_b', attained at the best
+    continuous a and a'; the grid comes within pi/n of them.  So every total
+    lies in [2 g_b[0] + (r+ + r-) cos(pi/n) - m, 2 g_b[0] + r+ + r- + m] with
+    margin m = 4 eta + 1e-12, and only pairs whose upper bound reaches the
+    best lower bound can hold the maximum.  Their totals are computed exactly
+    as a full scan would, in bounded chunks, and every exact tie survives
+    the filter, so the result equals the full search: the first maximum in
+    (b, b', a, a') order of this evaluator's grid values.  A surface that is
+    far from bilinear has a large eta and simply lets every pair through.
+    With ``refine`` set, the grid optimum is polished by per-coordinate
+    golden-section sweeps until the improvement drops below
+    ``refine_tolerance``.
     """
     n = int(round(360.0 / resolution_deg))
     angles = np.arange(n) * (2.0 * np.pi / n)
     evaluate = CorrelationEvaluator(out, pairs)
-    columns = np.ascontiguousarray(evaluate(angles[:, None], angles[None, :]).T)
+    columns = evaluate(angles[None, :], angles[:, None])  # columns[b, a] = E(a, b)
 
-    totals = np.empty((n, n))
-    scratch = np.empty((n, n))
-    for b in range(n):
-        rows = scratch[: n - b]
-        np.add(columns[b], columns[b:], out=rows)
-        plus = rows.max(axis=1)
-        np.subtract(columns[b], columns[b:], out=rows)
-        totals[b, b:] = plus + rows.max(axis=1)
-        totals[b:, b] = plus - rows.min(axis=1)
-    b, bp = divmod(int(totals.argmax()), n)
+    basis = np.stack([np.ones(n), np.cos(angles), np.sin(angles)], axis=1)
+    fit = np.linalg.pinv(basis)
+    g = basis @ (fit @ columns @ fit.T)  # g[b] = R f(b)
+    margin = 4.0 * np.abs(columns - g @ basis.T).max() + 1e-12
+    z = g[:, 1] + 1j * g[:, 2]  # the (cos, sin) part of each g_b
+    spread = np.abs(z[:, None] + z)
+    spread += np.abs(z[:, None] - z)
+    centre = 2.0 * g[:, :1]
+    best_lower = (centre + spread * np.cos(np.pi / n)).max() - margin
+    survivors = np.flatnonzero(centre + spread + margin >= best_lower)
+    del spread
+
+    best, best_index = -np.inf, 0
+    chunk = max(1, 2**16 // n)
+    for start in range(0, len(survivors), chunk):
+        b, bp = np.divmod(survivors[start : start + chunk], n)
+        totals = (columns[b] + columns[bp]).max(axis=1)
+        totals += (columns[b] - columns[bp]).max(axis=1)
+        i = int(totals.argmax())
+        if totals[i] > best:
+            best, best_index = float(totals[i]), int(survivors[start + i])
+    b, bp = divmod(best_index, n)
     a = int((columns[b] + columns[bp]).argmax())
     ap = int((columns[b] - columns[bp]).argmax())
-    best = float(totals[b, bp])
     best_angles = tuple(float(angles[i]) for i in (a, ap, b, bp))
     if not refine:
         return best, best_angles

@@ -148,18 +148,30 @@ def apply_gate(
 
 
 def post_select(state: FockState, pairs: Sequence[Pair]) -> Tuple[FockState, float]:
-    """Project onto one particle per pair; returns the kept part and its weight."""
-    seen: set[int] = set()
-    for pair in pairs:
-        if seen & set(pair):
-            raise ValueError("target pairs must be disjoint")
-        seen |= set(pair)
+    """Project onto one particle per pair; returns the kept part and its weight.
+
+    The pairs must be disjoint pairs of two distinct modes (``ValueError``
+    otherwise).  Kept terms stay in the state's insertion order.
+    """
+    bit_of: dict = {}
+    for index, pair in enumerate(pairs):
+        if len(pair) != 2 or pair[0] == pair[1] or not bit_of.keys().isdisjoint(pair):
+            raise ValueError("target pairs must be disjoint pairs of two distinct modes")
+        bit_of[pair[0]] = bit_of[pair[1]] = 1 << index
+    full = (1 << len(pairs)) - 1
     kept = {}
     probability = 0.0
     for modes, species, amp in state.items():
-        if _pattern_accepted(modes, pairs):
-            kept[(modes, species)] = amp
-            probability += abs(amp) ** 2
+        filled = 0
+        for mode in modes:  # every particle must land in a pair that is still empty
+            bit = bit_of.get(mode, 0)
+            if not bit or filled & bit:
+                break
+            filled |= bit
+        else:
+            if filled == full:
+                kept[(modes, species)] = amp
+                probability += abs(amp) ** 2
     return FockState(state.num_modes, kept), probability
 
 

@@ -12,9 +12,12 @@ from notouch.analysis import (
     three_tangle,
 )
 from notouch.circuit import (
+    Circuit,
     LocalUnitary,
     bell_circuit,
     ghz_circuit,
+    hadamard_gate,
+    permutation_from_one_line,
     synthesize_two_qubit,
     w_circuit,
 )
@@ -268,18 +271,66 @@ def test_table_matches_scalar_oracle_on_synthesized_targets():
         assert abs(e - _scalar_correlation(out, (t1, t2), PAIRS)) < 1e-12
 
 
+def _interleaved_anyon_run():
+    """Anyon run whose rail pairs interleave, so its surface is not bilinear."""
+    circuit = Circuit(
+        num_modes=4,
+        input_subsystems=((1, 2), (3, 4)),
+        injections=(1, 3),
+        input_stage=(hadamard_gate(1, 2), hadamard_gate(3, 4)),
+        permutation=permutation_from_one_line([1, 3, 2, 4]),
+        output_stage=(),
+        output_subsystems=((1, 3), (2, 4)),
+        target_pairs=((1, 3), (2, 4)),
+    )
+    return run(circuit, anyon(0.7)), circuit.target_pairs
+
+
+def _bilinear_residual(out, pairs, n):
+    """Largest deviation of the grid surface from its fit f(a) . R . f(b)."""
+    angles = np.arange(n) * (2.0 * np.pi / n)
+    e = CorrelationEvaluator(out, pairs)(angles[:, None], angles[None, :])
+    basis = np.stack([np.ones(n), np.cos(angles), np.sin(angles)], axis=1)
+    fit = np.linalg.pinv(basis)
+    return np.abs(e - basis @ (fit @ e @ fit.T) @ basis.T).max()
+
+
 @pytest.mark.parametrize("resolution", [1.0, 3.0, 10.0])
 def test_chsh_grid_scan_equals_looped_search(resolution):
-    outs = list(_runs(bell_circuit()))
-    outs += [
-        run(synthesize_two_qubit(target, FERMION), FERMION)
-        for target in _random_targets(53, 2)
+    cases = [(out, PAIRS) for out in _runs(bell_circuit())]
+    cases += [
+        (run(circuit, FERMION), circuit.target_pairs)
+        for circuit in (synthesize_two_qubit(t, FERMION) for t in _random_targets(53, 2))
     ]
     if resolution == 1.0:  # the looped oracle is slow at this resolution
-        outs = outs[0:1] + outs[4:6]  # boson, distinguishable, one synthesized
-    for out in outs:
-        got = chsh_grid_max(out, PAIRS, resolution_deg=resolution)
-        assert got == _looped_chsh_grid_max(out, PAIRS, resolution)
+        cases = cases[0:1] + cases[4:6]  # boson, distinguishable, one synthesized
+    product = synthesize_two_qubit(QubitState(2, np.array([1, 0, 0, 0])), BOSON)
+    cases.append((run(product, BOSON), product.target_pairs))
+    interleaved = _interleaved_anyon_run()
+    assert _bilinear_residual(*interleaved, 36) > 0.1
+    cases.append(interleaved)
+    for out, pairs in cases:
+        got = chsh_grid_max(out, pairs, resolution_deg=resolution)
+        assert got == _looped_chsh_grid_max(out, pairs, resolution)
+
+
+def _correlation_matrix(target):
+    """T[i, j] = <psi| s_i (x) s_j |psi> for s_0 = Z, s_1 = X."""
+    paulis = (np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    psi = target.amplitudes
+    return np.array(
+        [[np.vdot(psi, np.kron(s, t) @ psi).real for t in paulis] for s in paulis]
+    )
+
+
+def test_refined_chsh_reaches_the_correlation_matrix_bound():
+    for target in _random_targets(59, 8):
+        bound = 2.0 * np.linalg.norm(_correlation_matrix(target))
+        for stat in (BOSON, FERMION, anyon(1.3)):
+            circuit = synthesize_two_qubit(target, stat)
+            out = run(circuit, stat)
+            value, _ = chsh_grid_max(out, circuit.target_pairs, resolution_deg=1.0, refine=True)
+            assert abs(value - bound) < 1e-9
 
 
 def test_evaluator_pair_precondition():

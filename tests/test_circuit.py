@@ -124,6 +124,28 @@ def test_validation_flags_non_unitary_gate():
     assert any("not unitary" in v for v in report.violations)
 
 
+def test_is_unitary_follows_the_allclose_rule():
+    h = hadamard_gate(1, 2).matrix
+    rng = np.random.default_rng(5)
+    for eps in (0.0, 1e-11, 1e-10, 1e-9, 1e-7, 3e-6, 1e-5, 1e-3):
+        for m in (h * (1 + eps), h + eps * rng.normal(size=(2, 2)), h @ np.diag([1, 1 + eps])):
+            gram = m.conj().T @ m
+            expected = np.allclose(gram, np.eye(2), atol=1e-9)
+            assert LocalUnitary((1, 2), m).is_unitary() == expected
+    # the diagonal takes allclose's relative tolerance as well
+    assert LocalUnitary((1, 2), h * (1 + 4e-6)).is_unitary()
+    assert not LocalUnitary((1, 2), h * (1 + 1e-5)).is_unitary()
+    for bad in (np.nan, np.inf, -np.inf):
+        m = h.copy()
+        m[0, 1] = bad
+        with np.errstate(invalid="ignore"):  # inf * 0 in the Gram matrix
+            assert not LocalUnitary((1, 2), m).is_unitary()
+    assert not LocalUnitary((1, 2), np.eye(3)).is_unitary()
+    assert not LocalUnitary((1, 2), np.ones((2, 3)) / 2).is_unitary()
+    assert not LocalUnitary((1, 2), np.ones(2)).is_unitary()
+    assert LocalUnitary((3,), np.array([[np.exp(0.3j)]])).is_unitary()
+
+
 def test_validation_flags_bad_injection():
     bad = replace(bell_circuit(), injections=(1, 2))
     report = validate_circuit(bad)

@@ -25,6 +25,7 @@ from notouch.errors import (
     ZeroState,
 )
 from notouch.fock import BOSON, FERMION, FockState, anyon, norm
+from notouch.paths import _pattern_accepted
 from dataclasses import replace
 
 S2 = np.sqrt(2.0)
@@ -130,6 +131,30 @@ def test_post_select_rejects_occupancy_outside_pairs():
     state = FockState.single(5, [1, 5])
     kept, p = post_select(state, ((1, 2),))
     assert p == 0 and kept.is_empty()
+
+
+def test_post_select_keeps_accepted_terms_in_order():
+    # the W pre-selection state holds accepted and rejected terms; a labelled
+    # run adds species, and pairs listed out of mode order change nothing
+    states = [run(w_circuit(), stat).pre_selection for stat in ALL_STATS]
+    states.append(run_distinguishable(w_circuit()).pre_selection)
+    pairs = w_circuit().target_pairs
+    for state in states:
+        for order in (pairs, pairs[::-1]):
+            kept, p = post_select(state, order)
+            expected = [
+                (key, amp)
+                for key, amp in state.term_dict().items()
+                if _pattern_accepted(key[0], order)
+            ]
+            assert list(kept.term_dict().items()) == expected
+            assert p == sum(abs(amp) ** 2 for _, amp in expected)
+
+
+@pytest.mark.parametrize("pairs", [((1, 2), (2, 3)), ((1, 1),), ((1, 2, 3),)])
+def test_post_select_rejects_malformed_pairs(pairs):
+    with pytest.raises(ValueError, match="disjoint pairs of two distinct modes"):
+        post_select(FockState.single(4, [1, 3]), pairs)
 
 
 def test_extract_dual_rail_bell_and_ghz():
