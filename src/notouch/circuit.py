@@ -77,15 +77,6 @@ class Permute:
     def apply(self, mode: int) -> int:
         return self.one_line[mode - 1]
 
-    def inverse(self) -> "Permute":
-        inv = [0] * len(self.one_line)
-        for i, dest in enumerate(self.one_line, start=1):
-            inv[dest - 1] = i
-        return Permute(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(dest == i for i, dest in enumerate(self.one_line, start=1))
-
     def is_bijection(self) -> bool:
         n = len(self.one_line)
         return sorted(self.one_line) == list(range(1, n + 1))

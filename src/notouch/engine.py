@@ -13,12 +13,12 @@ and are rejected by post-selection anyway; their squared weight is reported
 as the signed ``escaped`` ledger, ``1 - norm(state)**2``.  For fermions the
 colliding histories cancel exactly, so it is zero only up to rounding.
 
-``apply_gate`` is the gate-level reference: it expands occupied support
-modes by their matrix columns and re-canonicalizes after every gate,
-conserving ``norm**2 + escaped`` per application.  Chained from ``inject``
-it reproduces ``run`` for bosons, fermions and labelled particles, but its
-per-gate anyon phases depend on the order in which commuting gates are
-listed, which is why ``run`` does not use it.
+``inject`` and ``apply_gate`` are the gate-level test reference: each gate
+expands occupied support modes by their matrix columns, moves the weight of
+branches that doubly occupy a mode into ``escaped`` and re-canonicalizes.
+Chained from ``inject`` it reproduces ``run`` for bosons, fermions and
+labelled particles, but its per-gate anyon phases depend on the order in
+which commuting gates are listed, which is why ``run`` does not use it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .circuit import Circuit, Gate, Permute
-from .errors import DoubleOccupancy, PatternMismatch, ZeroState
+from .errors import PatternMismatch, ZeroState
 from .fock import (
     FockState,
     Statistics,
@@ -38,7 +38,7 @@ from .fock import (
     canonicalize_labeled,
     norm,
 )
-from .paths import _branch_combinations, _pattern_accepted, _require_valid
+from .paths import _acceptance_rule, _branch_combinations, _require_valid
 from .qubits import QubitState
 
 Pair = Tuple[int, int]
@@ -80,22 +80,14 @@ def _canonical(raw_modes, species, statistics):
 
 
 def apply_gate(
-    state: FockState,
-    gate: Gate,
-    statistics: Optional[Statistics],
-    *,
-    collision: str = "escape",
+    state: FockState, gate: Gate, statistics: Optional[Statistics]
 ) -> FockState:
     """Apply one gate, preserving total mass (stored norm plus escaped).
 
-    ``collision`` controls expansion branches that would doubly occupy a
-    mode: ``"escape"`` (default) moves their weight into the ``escaped``
-    ledger, ``"raise"`` raises ``DoubleOccupancy``.  Fermionic branches of
-    this kind vanish identically and never raise.
+    Branches that would doubly occupy a mode leave the single-occupancy
+    sector: their weight moves into the ``escaped`` ledger (fermionic
+    branches of this kind vanish identically).
     """
-    if collision not in ("escape", "raise"):
-        raise ValueError(f"unknown collision policy {collision!r}")
-
     if isinstance(gate, Permute):
         out: dict = {}
         for modes, species, amp in state.items():
@@ -129,15 +121,7 @@ def apply_gate(
             for pos, tgt in zip(positions, targets):
                 raw[pos] = support[tgt]
             if len(set(raw)) != len(raw):
-                # branch leaves the single-occupancy sector
-                if statistics is not None and statistics.kind == "fermion":
-                    continue  # identical operators annihilate the branch
-                if collision == "raise":
-                    raise DoubleOccupancy(
-                        f"gate on modes {support} would doubly occupy a mode "
-                        f"(branch {tuple(raw)})"
-                    )
-                continue
+                continue  # leaves the single-occupancy sector: weight escapes
             aligned = None if species is None else list(species)
             key, phase = _canonical(raw, aligned, statistics)
             out[key] = out.get(key, 0.0 + 0.0j) + coeff * phase
@@ -153,25 +137,13 @@ def post_select(state: FockState, pairs: Sequence[Pair]) -> Tuple[FockState, flo
     The pairs must be disjoint pairs of two distinct modes (``ValueError``
     otherwise).  Kept terms stay in the state's insertion order.
     """
-    bit_of: dict = {}
-    for index, pair in enumerate(pairs):
-        if len(pair) != 2 or pair[0] == pair[1] or not bit_of.keys().isdisjoint(pair):
-            raise ValueError("target pairs must be disjoint pairs of two distinct modes")
-        bit_of[pair[0]] = bit_of[pair[1]] = 1 << index
-    full = (1 << len(pairs)) - 1
+    accepted = _acceptance_rule(pairs)
     kept = {}
     probability = 0.0
     for modes, species, amp in state.items():
-        filled = 0
-        for mode in modes:  # every particle must land in a pair that is still empty
-            bit = bit_of.get(mode, 0)
-            if not bit or filled & bit:
-                break
-            filled |= bit
-        else:
-            if filled == full:
-                kept[(modes, species)] = amp
-                probability += abs(amp) ** 2
+        if accepted(modes):
+            kept[(modes, species)] = amp
+            probability += abs(amp) ** 2
     return FockState(state.num_modes, kept), probability
 
 
@@ -224,6 +196,7 @@ def extract_dual_rail(accepted: FockState, pairs: Sequence[Pair]) -> QubitState:
     """
     if accepted.is_empty():
         raise ZeroState("no accepted terms to extract a qubit state from")
+    fits = _acceptance_rule(pairs)
     k = len(pairs)
     vec = np.zeros(2**k, dtype=complex)
     for modes, species, amp in accepted.items():
@@ -231,7 +204,7 @@ def extract_dual_rail(accepted: FockState, pairs: Sequence[Pair]) -> QubitState:
             raise PatternMismatch(
                 "labelled (distinguishable) terms do not form a coherent qubit state"
             )
-        if not _pattern_accepted(modes, pairs):
+        if not fits(modes):
             raise PatternMismatch(f"term {modes} does not match the rail pairs {pairs}")
         idx = 0
         for pair in pairs:

@@ -33,10 +33,6 @@ class InvalidCircuit(NoTouchError):
     """A circuit failed structural validation."""
 
 
-class DoubleOccupancy(NoTouchError):
-    """A gate expansion placed two particles in one mode in strict mode."""
-
-
 class PatternMismatch(NoTouchError):
     """A state term does not fit the one-particle-per-pair dual-rail pattern."""
 

@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .circuit import Circuit, LocalUnitary, validate_circuit
 from .errors import InvalidCircuit, TooManyHistories
@@ -84,17 +83,27 @@ def _require_valid(c: Circuit) -> None:
         raise InvalidCircuit("; ".join(report.violations))
 
 
-def _pattern_accepted(modes: Iterable[int], pairs: Sequence[Pair]) -> bool:
-    """True when each pair holds exactly one particle and no mode outside
-    the pairs is occupied.  Accepts multisets (repeats count as particles),
-    so path-history finals can reuse the same predicate."""
-    counts = Counter(modes)
-    pair_modes = set()
-    for pair in pairs:
-        pair_modes |= set(pair)
-        if counts[pair[0]] + counts[pair[1]] != 1:
-            return False
-    return all(m in pair_modes for m in counts)
+def _acceptance_rule(pairs: Sequence[Pair]) -> Callable[[Iterable[int]], bool]:
+    """Post-selection test: one particle in each pair and none outside them
+    (a repeated mode counts twice).  ``ValueError`` unless the pairs are
+    disjoint pairs of two distinct modes."""
+    bit_of: dict = {}
+    for index, pair in enumerate(pairs):
+        if len(pair) != 2 or pair[0] == pair[1] or not bit_of.keys().isdisjoint(pair):
+            raise ValueError("target pairs must be disjoint pairs of two distinct modes")
+        bit_of[pair[0]] = bit_of[pair[1]] = 1 << index
+    full = (1 << len(pairs)) - 1
+
+    def accepted(modes: Iterable[int]) -> bool:
+        filled = 0
+        for mode in modes:  # every particle must land in a pair that is still empty
+            bit = bit_of.get(mode, 0)
+            if not bit or filled & bit:
+                return False
+            filled |= bit
+        return filled == full
+
+    return accepted
 
 
 def _stage_gate_for(mode: int, gates: Sequence[LocalUnitary]):
@@ -151,6 +160,14 @@ def _branch_combinations(
     )
 
 
+def _history(paths, amplitude: complex, statistics: Statistics) -> PathHistory:
+    finals = tuple(modes[3] for modes in paths)
+    if len(set(finals)) == len(finals):
+        amplitude *= statistics.reorder_phase(count_inversions(finals))
+    boundaries = tuple(tuple(modes[b] for modes in paths) for b in range(4))
+    return PathHistory(boundaries, amplitude)
+
+
 def enumerate_histories(
     c: Circuit,
     statistics: Statistics,
@@ -164,14 +181,8 @@ def enumerate_histories(
     final pattern, where such branches either cancel or correspond to weight
     outside the single-occupancy sector.
     """
-    histories = []
-    for paths, amplitude in _branch_combinations(c, max_histories):
-        finals = tuple(modes[3] for modes in paths)
-        if len(set(finals)) == len(finals):
-            amplitude *= statistics.reorder_phase(count_inversions(finals))
-        boundaries = tuple(tuple(modes[b] for modes in paths) for b in range(4))
-        histories.append(PathHistory(boundaries, amplitude))
-    return histories
+    combinations = _branch_combinations(c, max_histories)
+    return [_history(paths, amp, statistics) for paths, amp in combinations]
 
 
 def history_pattern_sums(histories: Sequence[PathHistory]) -> dict:
@@ -216,24 +227,26 @@ def verify_no_touching(
 ) -> TouchReport:
     """Certify that accepted outcomes involve no touching histories.
 
-    Checks every history with amplitude above ``amplitude_tolerance`` whose
-    final pattern survives post-selection (or every such history when
-    ``post_select`` is false) for mode sharing at stage boundaries and for
-    two particles inside one gate.
+    Streams the histories ``run`` sums and checks every one with amplitude
+    above ``amplitude_tolerance`` whose final pattern survives post-selection
+    (or every such history when ``post_select`` is false) for mode sharing at
+    stage boundaries and for two particles inside one gate.
     """
-    histories = enumerate_histories(c, statistics, max_histories=max_histories)
+    combinations = _branch_combinations(c, max_histories)  # validates c before the rule
+    accepted = _acceptance_rule(c.target_pairs)
     counterexamples: List[TouchEvent] = []
-    checked = 0
-    for history in histories:
-        if abs(history.amplitude) <= amplitude_tolerance:
+    total = checked = 0
+    for paths, amplitude in combinations:
+        total += 1
+        if abs(amplitude) <= amplitude_tolerance:
             continue
-        if post_select and not _pattern_accepted(history.final_modes, c.target_pairs):
+        if post_select and not accepted(modes[3] for modes in paths):
             continue
         checked += 1
-        counterexamples.extend(_touch_events(history, c))
+        counterexamples.extend(_touch_events(_history(paths, amplitude, statistics), c))
     return TouchReport(
         passed=not counterexamples,
         counterexamples=tuple(counterexamples),
-        histories_total=len(histories),
+        histories_total=total,
         histories_checked=checked,
     )

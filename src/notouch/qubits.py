@@ -28,9 +28,6 @@ class QubitState:
             )
         object.__setattr__(self, "amplitudes", amps)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def amplitude(self, bits) -> complex:
         """Amplitude of the basis state given by a bit sequence (qubit 1 first)."""
         if len(bits) != self.num_qubits:

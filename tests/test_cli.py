@@ -77,6 +77,49 @@ def test_run_invalid_circuit_file_exit_code(tmp_path, capsys):
     assert "invalid circuit" in err
 
 
+def _repeated_injection(doc):
+    doc["injections"] = [1, 1]
+
+
+def _non_local_input_gate(doc):
+    doc["input_gates"][0]["support"] = [2, 3]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_repeated_injection, "injection 1 is not in input subsystem 2"),
+        (
+            _non_local_input_gate,
+            "non-local input gate: support (2, 3) does not lie inside a single "
+            "subsystem; input gate supports overlap at modes [3]",
+        ),
+    ],
+)
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["verify", "--statistics", "anyon:0.7", "--file", "{path}"],
+        ["verify", "--statistics", "boson", "--accept-all", "--file", "{path}"],
+        ["correlate", "--protocol", "file:{path}", "--statistics", "fermion",
+         "--theta1", "0,1", "--theta2", "0"],
+        ["correlate", "--protocol", "file:{path}", "--distinguishable",
+         "--theta1", "0", "--theta2", "0"],
+    ],
+)
+def test_invalid_circuit_file_is_a_validation_failure(tmp_path, capsys, corrupt, message, command):
+    from notouch.circuit import bell_circuit, circuit_to_dict
+
+    doc = circuit_to_dict(bell_circuit())
+    corrupt(doc)
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *(arg.format(path=path) for arg in command))
+    assert code == 3
+    assert out == ""
+    assert err == f"error: invalid circuit: {message}\n"
+
+
 def test_correlate_csv_cosine_column(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -21,7 +21,13 @@ from notouch.circuit import (
     permutation_from_one_line,
     validate_circuit,
 )
-from notouch.engine import apply_gate, inject, run, run_distinguishable
+from notouch.engine import (
+    apply_gate,
+    computational_distribution,
+    inject,
+    run,
+    run_distinguishable,
+)
 from notouch.fock import BOSON, FERMION, anyon, count_inversions, norm
 from notouch.paths import enumerate_histories, history_pattern_sums
 
@@ -174,6 +180,16 @@ def check_against_oracle(c: Circuit) -> None:
 @pytest.mark.parametrize("seed", range(24))
 def test_random_circuits_match_transfer_matrix_oracle(seed):
     check_against_oracle(random_circuit(np.random.default_rng(1000 + seed)))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_random_circuits_detect_like_labelled_particles(seed):
+    c = random_circuit(np.random.default_rng(1000 + seed))
+    labelled = computational_distribution(run_distinguishable(c), c.target_pairs)
+    for stat in (BOSON, FERMION, anyon(0.7)):
+        dist = computational_distribution(run(c, stat), c.target_pairs)
+        assert dist.keys() == labelled.keys(), stat
+        assert max((abs(dist[k] - labelled[k]) for k in dist), default=0.0) <= TOL, stat
 
 
 def test_swap_and_swap_back_pays_no_phase():

@@ -19,13 +19,11 @@ from notouch.engine import (
     run_distinguishable,
 )
 from notouch.errors import (
-    DoubleOccupancy,
     InvalidCircuit,
     PatternMismatch,
     ZeroState,
 )
 from notouch.fock import BOSON, FERMION, FockState, anyon, norm
-from notouch.paths import _pattern_accepted
 from dataclasses import replace
 
 S2 = np.sqrt(2.0)
@@ -139,13 +137,19 @@ def test_post_select_keeps_accepted_terms_in_order():
     states = [run(w_circuit(), stat).pre_selection for stat in ALL_STATS]
     states.append(run_distinguishable(w_circuit()).pre_selection)
     pairs = w_circuit().target_pairs
+    pair_modes = {m for pair in pairs for m in pair}
+
+    def one_per_pair(modes):  # each pair holds exactly one mode, no extra modes
+        filled = all(sum(m in pair for m in modes) == 1 for pair in pairs)
+        return filled and set(modes) <= pair_modes
+
     for state in states:
         for order in (pairs, pairs[::-1]):
             kept, p = post_select(state, order)
             expected = [
                 (key, amp)
                 for key, amp in state.term_dict().items()
-                if _pattern_accepted(key[0], order)
+                if one_per_pair(key[0])
             ]
             assert list(kept.term_dict().items()) == expected
             assert p == sum(abs(amp) ** 2 for _, amp in expected)
@@ -155,6 +159,9 @@ def test_post_select_keeps_accepted_terms_in_order():
 def test_post_select_rejects_malformed_pairs(pairs):
     with pytest.raises(ValueError, match="disjoint pairs of two distinct modes"):
         post_select(FockState.single(4, [1, 3]), pairs)
+    # dual-rail extraction applies the same rule
+    with pytest.raises(ValueError, match="disjoint pairs of two distinct modes"):
+        extract_dual_rail(FockState.single(4, [1, 3]), pairs)
 
 
 def test_extract_dual_rail_bell_and_ghz():
@@ -261,8 +268,6 @@ def test_hom_bunching_by_statistics():
 
 def test_collision_raise_mode():
     state = FockState.single(2, [1, 2])
-    with pytest.raises(DoubleOccupancy):
-        apply_gate(state, hadamard_gate(1, 2), BOSON, collision="raise")
-    # fermionic branches cancel exactly, so strict mode has nothing to flag
-    out = apply_gate(state, hadamard_gate(1, 2), FERMION, collision="raise")
+    # fermionic branches into one mode cancel exactly: nothing escapes
+    out = apply_gate(state, hadamard_gate(1, 2), FERMION)
     assert abs(out.amplitude([1, 2]) + 1.0) < 1e-12

@@ -1,10 +1,24 @@
+from collections import Counter
+
+import numpy as np
 import pytest
 
-from notouch.circuit import bell_circuit, ghz_circuit, hom_circuit, w_circuit
+import notouch.paths
+from notouch.circuit import (
+    Circuit,
+    LocalUnitary,
+    bell_circuit,
+    ghz_circuit,
+    hom_circuit,
+    permutation_from_one_line,
+    w_circuit,
+)
 from notouch.engine import apply_gate, inject
 from notouch.errors import InvalidCircuit, TooManyHistories
 from notouch.fock import BOSON, FERMION, anyon
 from notouch.paths import (
+    TouchReport,
+    _touch_events,
     enumerate_histories,
     history_pattern_sums,
     verify_no_touching,
@@ -100,3 +114,63 @@ def test_accepted_history_counts():
     for builder, accepted in ((bell_circuit, 2), (ghz_circuit, 2), (w_circuit, 3)):
         report = verify_no_touching(builder(), BOSON)
         assert report.histories_checked == accepted
+
+
+def _ghz_ring(n):
+    # particle j enters mode 2j-1 and is split over pair (2j-1, 2j); the
+    # permutation fixes odd modes and sends 2j to 2j+2, wrapping 2n to 2
+    pairs = tuple((2 * j - 1, 2 * j) for j in range(1, n + 1))
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    one_line = [m if m % 2 else (m + 2 if m < 2 * n else 2) for m in range(1, 2 * n + 1)]
+    return Circuit(
+        num_modes=2 * n,
+        input_subsystems=pairs,
+        injections=tuple(a for a, _ in pairs),
+        input_stage=tuple(LocalUnitary(pair, hadamard) for pair in pairs),
+        permutation=permutation_from_one_line(one_line),
+        output_stage=(),
+        output_subsystems=pairs,
+        target_pairs=pairs,
+    )
+
+
+@pytest.mark.parametrize("stat", (*ALL_STATS, anyon(2.1)))
+def test_ring_verification_streams_the_walk(stat, monkeypatch):
+    def no_list(*args, **kwargs):
+        raise AssertionError("the verifier must not list every history")
+
+    monkeypatch.setattr(notouch.paths, "enumerate_histories", no_list)
+    report = verify_no_touching(_ghz_ring(10), stat)
+    assert report.verdict == "pass"
+    assert (report.histories_total, report.histories_checked) == (1024, 2)
+
+
+def _filtered_report(circuit, stat, post_select, tolerance):
+    histories = enumerate_histories(circuit, stat)
+    pair_modes = {m for pair in circuit.target_pairs for m in pair}
+
+    def accepted(finals):
+        counts = Counter(finals)
+        return set(counts) <= pair_modes and all(
+            counts[a] + counts[b] == 1 for a, b in circuit.target_pairs
+        )
+
+    checked = [
+        h
+        for h in histories
+        if abs(h.amplitude) > tolerance and (not post_select or accepted(h.final_modes))
+    ]
+    events = tuple(ev for h in checked for ev in _touch_events(h, circuit))
+    return TouchReport(not events, events, len(histories), len(checked))
+
+
+@pytest.mark.parametrize("tolerance", [1e-12, 0.2])  # 0.2 drops some w histories
+@pytest.mark.parametrize("post_select", [True, False])
+@pytest.mark.parametrize("stat", ALL_STATS)
+@pytest.mark.parametrize("builder", [bell_circuit, ghz_circuit, w_circuit, hom_circuit])
+def test_verifier_equals_a_filter_over_all_histories(builder, stat, post_select, tolerance):
+    circuit = builder()
+    report = verify_no_touching(
+        circuit, stat, post_select=post_select, amplitude_tolerance=tolerance
+    )
+    assert report == _filtered_report(circuit, stat, post_select, tolerance)
