@@ -3,7 +3,9 @@
 Measurements follow the optical picture: a real rotation on each rail pair
 followed by particle detection, with outcome +1 assigned to the pair's first
 rail and -1 to the second.  Correlations are expectations of the outcome
-product over the re-post-selected distribution.
+product over the re-post-selected distribution.  The rotations are one more
+gate stage on the run's accepted path histories: every phase, measurements
+included, is paid once from the raw final modes in ascending injection order.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ import numpy as np
 
 from .engine import RunOutput
 from .errors import DimensionMismatch, PatternMismatch, ZeroProbability
-from .fock import canonicalize, canonicalize_labeled, norm
+from .paths import _acceptance_rule, _branch_combinations, _canonical, _injection_labels
 from .qubits import QubitState
 
 Pair = Tuple[int, int]
+REFINE_TOLERANCE = 1e-3  # least gain per sweep of chsh_grid_max(refine=True)
 
 
 @dataclass(frozen=True)
@@ -47,15 +50,16 @@ class CorrelationEvaluator:
     """Correlation E(theta_1, ..., theta_k) of one run on k rail pairs.
 
     Built once per (run, pairs), then evaluated on any batch of settings.
-    After one rail rotation per pair, every branch amplitude is multilinear
-    in cos(theta/2) and sin(theta/2), so the outcome-weighted and the total
-    detection weight are trigonometric polynomials.  Construction reduces
+    It folds the accepted histories of ``out.circuit`` with one rail rotation
+    per pair appended.  Each branch amplitude is multilinear in cos(theta/2)
+    and sin(theta/2), so the outcome-weighted and the total detection weight
+    are trigonometric polynomials.  Construction reduces
     them to two real tensors N and D of shape (3,) * k over the basis
     f(theta) = (1, cos theta, sin theta) per pair, and E = N[f, ...] /
     D[f, ...].  Building them takes O(4^k) memory, fine for the few pairs a
     correlation experiment measures.
 
-    Every pair must hold exactly one particle in every accepted term
+    Every pair must hold exactly one particle in every accepted history
     (``PatternMismatch`` otherwise).  Particles outside the pairs are not
     measured, so a subset of the target pairs gives the marginal correlation.
     """
@@ -67,41 +71,41 @@ class CorrelationEvaluator:
         if len({m for pair in pairs for m in pair}) != 2 * len(pairs):
             raise PatternMismatch(f"rail pairs {pairs} must be disjoint mode pairs")
         k = self.num_pairs = len(pairs)
-        base = out.accepted.scaled(1.0 / norm(out.accepted))
+        species = _injection_labels(out.circuit) if out.statistics is None else None
+        accepted = _acceptance_rule(out.circuit.target_pairs)
         # canonical key -> (outcome, amplitude per column), where the column's
         # bits say which factor each pair contributes: 0 for cos(theta/2),
         # 1 for sin(theta/2)
         branches: dict = {}
-        for modes, species, amp in base.items():
+        for paths, amplitude in _branch_combinations(out.circuit):
+            finals = [modes[3] for modes in paths]
+            if not accepted(finals):
+                continue
             rails = []
             for pair in pairs:
-                if (pair[0] in modes) + (pair[1] in modes) != 1:
+                if (pair[0] in finals) + (pair[1] in finals) != 1:
                     raise PatternMismatch(
-                        f"accepted term {modes} does not hold exactly one "
-                        f"particle in rail pair {pair}"
+                        f"accepted history ending in {tuple(finals)} does not hold "
+                        f"exactly one particle in rail pair {pair}"
                     )
-                u = 0 if pair[0] in modes else 1
-                rails.append((modes.index(pair[u]), u))
+                u = 0 if pair[0] in finals else 1
+                rails.append((finals.index(pair[u]), u))
             for branch in itertools.product((0, 1), repeat=k):
-                raw = list(modes)
-                coeff = amp
-                outcome = 1
+                raw = list(finals)
+                coeff = amplitude
                 column = 0
                 for pair, (pos, u), v in zip(pairs, rails, branch):
                     raw[pos] = pair[v]
-                    outcome *= 1 if v == 0 else -1
                     column = 2 * column + int(v != u)
                     if (v, u) == (1, 1):  # the -p entry of the rotation
                         coeff = -coeff
-                if species is not None:
-                    key = canonicalize_labeled(raw, species)
-                else:
-                    key, phase = canonicalize(raw, out.statistics)
-                    coeff = coeff * phase
+                key, phase = _canonical(raw, species, out.statistics)
+                outcome = (-1) ** sum(branch)  # +1 on a pair's first rail, -1 on its second
                 entry = branches.setdefault(key, (outcome, np.zeros(2**k, dtype=complex)))
-                entry[1][column] += coeff
+                entry[1][column] += coeff * phase
         outcomes = np.array([outcome for outcome, _ in branches.values()], dtype=float)
         amplitudes = np.array([amplitude for _, amplitude in branches.values()])
+        amplitudes *= out.probability**-0.5
         # Weights Re(a_u conj(a_v)) summed over keys, with and without the
         # outcome sign; each pair's (u, v) then maps onto (1, cos, sin).
         signed = amplitudes.T * outcomes
@@ -180,7 +184,6 @@ def chsh_grid_max(
     pairs: Sequence[Pair],
     resolution_deg: float = 1.0,
     refine: bool = False,
-    refine_tolerance: float = 1e-3,
 ) -> Tuple[float, Tuple[float, float, float, float]]:
     """Maximum CHSH combination over a four-angle grid.
 
@@ -202,7 +205,7 @@ def chsh_grid_max(
     far from bilinear has a large eta and simply lets every pair through.
     With ``refine`` set, the grid optimum is polished by per-coordinate
     golden-section sweeps until the improvement drops below
-    ``refine_tolerance``.
+    ``REFINE_TOLERANCE``.
     """
     n = int(round(360.0 / resolution_deg))
     angles = np.arange(n) * (2.0 * np.pi / n)
@@ -259,7 +262,7 @@ def chsh_grid_max(
                     x2, x1 = x1, hi - gr * (hi - lo)
             current[i] = (lo + hi) / 2.0
         value = float(_chsh(evaluate, [current])[0])
-        if value - improved < refine_tolerance:
+        if value - improved < REFINE_TOLERANCE:
             break
     return value, tuple(current)
 

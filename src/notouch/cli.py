@@ -63,11 +63,11 @@ def _metadata(tolerance: float) -> dict:
     }
 
 
-def _resolve_circuit(token: str) -> tuple[str, Circuit]:
+def _resolve_circuit(token: str) -> Circuit:
     if token in PROTOCOLS:
-        return token, PROTOCOLS[token]()
+        return PROTOCOLS[token]()
     if token.startswith("file:"):
-        return token, load_circuit(token[len("file:") :])
+        return load_circuit(token[len("file:") :])
     raise NoTouchError(
         f"unknown protocol {token!r}; expected bell, ghz, w or file:<path>"
     )
@@ -88,7 +88,7 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def _run_document(protocol: str, stat: Statistics, tolerance: float) -> dict:
-    _, circuit = _resolve_circuit(protocol)
+    circuit = _resolve_circuit(protocol)
     out = run(circuit, stat)
     terms = []
     for modes, _species, amp in sorted(out.accepted.items(), key=lambda t: t[0]):
@@ -131,7 +131,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_correlate(args: argparse.Namespace) -> int:
     tolerance = _report_tolerance()
-    _, circuit = _resolve_circuit(args.protocol)
+    circuit = _resolve_circuit(args.protocol)
     if args.distinguishable:
         out = run_distinguishable(circuit)
         stat_label = "distinguishable"
@@ -163,7 +163,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     tolerance = _report_tolerance()
     token = args.protocol if args.protocol else f"file:{args.file}"
-    _, circuit = _resolve_circuit(token)
+    circuit = _resolve_circuit(token)
     stat = Statistics.parse(args.statistics)
     note = None
     report = verify_no_touching(

@@ -6,16 +6,17 @@ permutation, apply the output-stage local unitaries, then post-select on one
 particle per target rail pair.
 
 ``run`` and ``run_distinguishable`` fold the path histories of ``paths``:
-each history whose particles end in distinct modes adds its amplitude (with
-the statistics phase, paid once) to its canonical final pattern.  Histories
-that end with two particles in one mode leave the single-occupancy sector
-and are rejected by post-selection anyway; their squared weight is reported
-as the signed ``escaped`` ledger, ``1 - norm(state)**2``.  For fermions the
+each history whose particles end in distinct modes adds its amplitude to its
+canonical final pattern.  ``paths._canonical`` pays every phase, measurement
+phases in ``analysis`` included, once from the raw final modes in ascending
+injection order.  Histories with two particles in one mode leave the
+single-occupancy sector and post-selection rejects them; their squared weight
+is the signed ``escaped`` ledger, ``1 - norm(state)**2``.  For fermions the
 colliding histories cancel exactly, so it is zero only up to rounding.
 
 ``inject`` and ``apply_gate`` are the gate-level test reference: each gate
 expands occupied support modes by their matrix columns, moves the weight of
-branches that doubly occupy a mode into ``escaped`` and re-canonicalizes.
+branches that doubly occupy a mode into ``escaped`` and re-sorts the rest.
 Chained from ``inject`` it reproduces ``run`` for bosons, fermions and
 labelled particles, but its per-gate anyon phases depend on the order in
 which commuting gates are listed, which is why ``run`` does not use it.
@@ -31,14 +32,9 @@ import numpy as np
 
 from .circuit import Circuit, Gate, Permute
 from .errors import PatternMismatch, ZeroState
-from .fock import (
-    FockState,
-    Statistics,
-    canonicalize,
-    canonicalize_labeled,
-    norm,
-)
-from .paths import _acceptance_rule, _branch_combinations, _require_valid
+from .fock import FockState, Statistics, norm
+from .paths import _acceptance_rule, _branch_combinations, _canonical, _require_valid
+from .paths import _injection_labels
 from .qubits import QubitState
 
 Pair = Tuple[int, int]
@@ -53,30 +49,20 @@ class RunOutput:
     single-occupancy sector).  ``accepted`` is the unnormalized projection
     onto the one-particle-per-pair patterns and ``probability`` its squared
     norm.  ``statistics`` records how the run reordered operators; it is
-    ``None`` for distinguishable-particle runs.
+    ``None`` for distinguishable-particle runs.  ``circuit`` is what was run.
     """
 
     pre_selection: FockState
     accepted: FockState
     probability: float
     statistics: Optional[Statistics]
+    circuit: Circuit
 
 
 def inject(c: Circuit) -> FockState:
     """Initial state: one particle in each subsystem's injection mode."""
     _require_valid(c)
     return FockState.single(c.num_modes, sorted(c.injections))
-
-
-def _canonical(raw_modes, species, statistics):
-    """Canonical key and phase for a raw operator sequence."""
-    if species is not None:
-        modes, labels = canonicalize_labeled(raw_modes, species)
-        return (modes, labels), 1.0 + 0.0j
-    if statistics is None:
-        raise ValueError("statistics required for unlabelled terms")
-    modes, phase = canonicalize(raw_modes, statistics)
-    return (modes, None), phase
 
 
 def apply_gate(
@@ -92,8 +78,7 @@ def apply_gate(
         out: dict = {}
         for modes, species, amp in state.items():
             raw = [gate.apply(m) for m in modes]
-            aligned = None if species is None else list(species)
-            key, phase = _canonical(raw, aligned, statistics)
+            key, phase = _canonical(raw, species, statistics)
             out[key] = out.get(key, 0.0 + 0.0j) + amp * phase
         return FockState(state.num_modes, out, escaped=state.escaped)
 
@@ -122,8 +107,7 @@ def apply_gate(
                 raw[pos] = support[tgt]
             if len(set(raw)) != len(raw):
                 continue  # leaves the single-occupancy sector: weight escapes
-            aligned = None if species is None else list(species)
-            key, phase = _canonical(raw, aligned, statistics)
+            key, phase = _canonical(raw, species, statistics)
             out[key] = out.get(key, 0.0 + 0.0j) + coeff * phase
     for value in out.values():
         out_sq += abs(value) ** 2
@@ -150,12 +134,9 @@ def post_select(state: FockState, pairs: Sequence[Pair]) -> Tuple[FockState, flo
 def _fold_histories(c: Circuit, statistics: Optional[Statistics]) -> FockState:
     """Pre-selection state as the sum of the collision-free path histories.
 
-    With ``statistics`` of ``None`` the particles are labelled instead: each
-    carries the position of its subsystem in ``c.input_subsystems``.
+    With ``statistics`` of ``None`` the particles carry ``_injection_labels``.
     """
-    species = None
-    if statistics is None:
-        species = [k for _, k in sorted(zip(c.injections, itertools.count(1)))]
+    species = _injection_labels(c) if statistics is None else None
     terms: dict = {}
     for paths, amplitude in _branch_combinations(c):
         finals = [modes[3] for modes in paths]
@@ -172,7 +153,7 @@ def run(c: Circuit, statistics: Statistics) -> RunOutput:
     """Execute the full pipeline for indistinguishable particles."""
     state = _fold_histories(c, statistics)
     accepted, probability = post_select(state, c.target_pairs)
-    return RunOutput(state, accepted, probability, statistics)
+    return RunOutput(state, accepted, probability, statistics, c)
 
 
 def run_distinguishable(c: Circuit) -> RunOutput:
@@ -184,7 +165,7 @@ def run_distinguishable(c: Circuit) -> RunOutput:
     """
     state = _fold_histories(c, None)
     accepted, probability = post_select(state, c.target_pairs)
-    return RunOutput(state, accepted, probability, None)
+    return RunOutput(state, accepted, probability, None, c)
 
 
 def extract_dual_rail(accepted: FockState, pairs: Sequence[Pair]) -> QubitState:

@@ -192,11 +192,9 @@ class FockState:
         species: Optional[Sequence[int]] = None,
     ) -> "FockState":
         """State with one occupied pattern."""
-        key = (tuple(sorted(modes)), tuple(species) if species is not None else None)
-        if species is not None and list(modes) != sorted(modes):
-            # keep labels aligned when the caller passes unsorted modes
-            m, s = canonicalize_labeled(modes, species)
-            key = (m, s)
+        key = (tuple(sorted(modes)), None)
+        if species is not None:  # labels travel with their modes
+            key = canonicalize_labeled(modes, species)
         return cls(num_modes, {key: complex(amplitude)})
 
     def items(self) -> Iterator[Tuple[Modes, Species, complex]]:

@@ -11,8 +11,9 @@ order of the injected state.  A history's amplitude is the product of the
 traversed matrix elements times the statistics phase ``reorder_phase(k)``,
 where ``k`` counts the inversions of the final modes in that particle order;
 the phase is applied once per history, when the final operator product is
-put in canonical (ascending-mode) order.  ``engine.run`` sums the same
-histories, so this is the package's only phase rule for amplitudes.
+put in canonical (ascending-mode) order.  ``_canonical`` is the package's
+only phase rule: ``engine.run`` folds these histories through it, and the
+correlation evaluator folds them with the rail rotations appended.
 
 Two particles "touch" when they share a mode at a stage boundary or sit
 inside the same gate's support during a stage.  The verifier certifies that
@@ -30,7 +31,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .circuit import Circuit, LocalUnitary, validate_circuit
 from .errors import InvalidCircuit, TooManyHistories
-from .fock import Statistics, count_inversions
+from .fock import Statistics, canonicalize, canonicalize_labeled
 
 STAGE_BOUNDARIES = ("injection", "input", "permutation", "output")
 
@@ -106,6 +107,23 @@ def _acceptance_rule(pairs: Sequence[Pair]) -> Callable[[Iterable[int]], bool]:
     return accepted
 
 
+def _injection_labels(c: Circuit) -> List[int]:
+    """Particle labels in ascending injection order for labelled runs: the
+    position of each particle's subsystem in ``c.input_subsystems``."""
+    return [k for _, k in sorted(zip(c.injections, itertools.count(1)))]
+
+
+def _canonical(raw_modes, species, statistics: Optional[Statistics]):
+    """Canonical key and phase of raw modes in creation-operator order; labels
+    (``species`` aligned with ``raw_modes``) travel along and pay no phase."""
+    if species is not None:
+        return canonicalize_labeled(raw_modes, species), 1.0 + 0.0j
+    if statistics is None:
+        raise ValueError("statistics required for unlabelled terms")
+    modes, phase = canonicalize(raw_modes, statistics)
+    return (modes, None), phase
+
+
 def _stage_gate_for(mode: int, gates: Sequence[LocalUnitary]):
     for gate in gates:
         if mode in gate.support:
@@ -161,9 +179,9 @@ def _branch_combinations(
 
 
 def _history(paths, amplitude: complex, statistics: Statistics) -> PathHistory:
-    finals = tuple(modes[3] for modes in paths)
+    finals = [modes[3] for modes in paths]
     if len(set(finals)) == len(finals):
-        amplitude *= statistics.reorder_phase(count_inversions(finals))
+        amplitude *= _canonical(finals, None, statistics)[1]
     boundaries = tuple(tuple(modes[b] for modes in paths) for b in range(4))
     return PathHistory(boundaries, amplitude)
 

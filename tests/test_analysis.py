@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from notouch.circuit import (
 )
 from notouch.engine import (
     apply_gate,
+    computational_distribution,
     extract_dual_rail,
     post_select,
     run,
@@ -66,15 +69,15 @@ def test_correlation_is_bounded_and_phase_invariant():
         t1, t2 = rng.uniform(0, 2 * np.pi, size=2)
         e = correlation(out, (t1, t2), PAIRS)
         assert -1 - 1e-12 <= e <= 1 + 1e-12
-    # global phase on the accepted state changes nothing
-    from notouch.engine import RunOutput
-
-    rotated = RunOutput(
-        out.pre_selection,
-        out.accepted.scaled(np.exp(0.4j)),
-        out.probability,
-        out.statistics,
+    # a global phase on the accepted state, here from one input gate, changes nothing
+    first, second = bell_circuit().input_stage
+    phased = replace(
+        bell_circuit(),
+        input_stage=(LocalUnitary(first.support, np.exp(0.4j) * first.matrix), second),
     )
+    rotated = run(phased, BOSON)
+    for modes, _species, amp in out.accepted.items():
+        assert abs(rotated.accepted.amplitude(modes) - np.exp(0.4j) * amp) < 1e-12
     assert abs(correlation(rotated, (0.3, 0.9), PAIRS) - np.cos(0.6)) < 1e-9
 
 
@@ -105,7 +108,7 @@ def test_correlation_errors():
     from notouch.engine import RunOutput
     from notouch.fock import FockState
 
-    empty = RunOutput(FockState(4), FockState(4), 0.0, BOSON)
+    empty = RunOutput(FockState(4), FockState(4), 0.0, BOSON, bell_circuit())
     with pytest.raises(ZeroProbability):
         correlation(empty, (0.0, 0.0), PAIRS)
 
@@ -271,19 +274,45 @@ def test_table_matches_scalar_oracle_on_synthesized_targets():
         assert abs(e - _scalar_correlation(out, (t1, t2), PAIRS)) < 1e-12
 
 
-def _interleaved_anyon_run():
-    """Anyon run whose rail pairs interleave, so its surface is not bilinear."""
-    circuit = Circuit(
+def _interleaved_circuit(one_line, output_stage=()):
+    """Two Hadamard-split particles routed onto the interleaved rail pairs
+    (1, 3) and (2, 4)."""
+    return Circuit(
         num_modes=4,
         input_subsystems=((1, 2), (3, 4)),
         injections=(1, 3),
         input_stage=(hadamard_gate(1, 2), hadamard_gate(3, 4)),
-        permutation=permutation_from_one_line([1, 3, 2, 4]),
-        output_stage=(),
+        permutation=permutation_from_one_line(one_line),
+        output_stage=output_stage,
         output_subsystems=((1, 3), (2, 4)),
         target_pairs=((1, 3), (2, 4)),
     )
+
+
+def _interleaved_anyon_run():
+    """Anyon run whose rail pairs interleave and whose output splitter mixes
+    modes that both particles reach, so its surface is not bilinear."""
+    splitter = np.diag([1.0, 1.0j]) @ hadamard_gate(1, 3).matrix
+    circuit = _interleaved_circuit([4, 1, 3, 2], (LocalUnitary((1, 3), splitter),))
     return run(circuit, anyon(0.7)), circuit.target_pairs
+
+
+@pytest.mark.parametrize("one_line", [[1, 3, 2, 4], [2, 4, 1, 3]])
+def test_interleaved_correlation_is_the_run_with_rotations_appended(one_line):
+    # the rail rotations pay their anyon phase once, with the rest of the
+    # history, exactly as when they run as output gates
+    circuit = _interleaved_circuit(one_line)
+    thetas = (0.4, 1.1)
+    value = correlation(run(circuit, anyon(0.7)), thetas, circuit.target_pairs)
+    rotations = tuple(
+        LocalUnitary(pair, MeasurementSetting(theta).matrix)
+        for pair, theta in zip(circuit.target_pairs, thetas)
+    )
+    measured = run(replace(circuit, output_stage=rotations), anyon(0.7))
+    dist = computational_distribution(measured, circuit.target_pairs)
+    expected = sum(p * (-1) ** sum(bits) for bits, p in dist.items())
+    assert abs(value - expected) < 1e-12
+    assert abs(value - 0.347052492808) < 1e-12
 
 
 def _bilinear_residual(out, pairs, n):
