@@ -71,7 +71,6 @@ from .paths import (
     PathHistory,
     TouchReport,
     enumerate_histories,
-    history_pattern_sums,
     verify_no_touching,
 )
 from .qubits import QubitState
@@ -115,7 +114,6 @@ __all__ = [
     "fidelity",
     "ghz_circuit",
     "hadamard_gate",
-    "history_pattern_sums",
     "hom_circuit",
     "inject",
     "inner_product",

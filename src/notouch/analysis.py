@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import RunOutput
 from .errors import DimensionMismatch, PatternMismatch, ZeroProbability
-from .paths import _acceptance_rule, _branch_combinations, _canonical, _injection_labels
+from .paths import _canonical
 from .qubits import QubitState
 
 Pair = Tuple[int, int]
@@ -50,14 +50,14 @@ class CorrelationEvaluator:
     """Correlation E(theta_1, ..., theta_k) of one run on k rail pairs.
 
     Built once per (run, pairs), then evaluated on any batch of settings.
-    It folds the accepted histories of ``out.circuit`` with one rail rotation
-    per pair appended.  Each branch amplitude is multilinear in cos(theta/2)
-    and sin(theta/2), so the outcome-weighted and the total detection weight
-    are trigonometric polynomials.  Construction reduces
-    them to two real tensors N and D of shape (3,) * k over the basis
-    f(theta) = (1, cos theta, sin theta) per pair, and E = N[f, ...] /
-    D[f, ...].  Building them takes O(4^k) memory, fine for the few pairs a
-    correlation experiment measures.
+    It folds the accepted histories the run kept (``out.histories``) with one
+    rail rotation per pair appended; it never walks the circuit again.  Each
+    branch amplitude is multilinear in cos(theta/2) and sin(theta/2), so the
+    outcome-weighted and the total detection weight are trigonometric
+    polynomials.  Construction reduces them to two real tensors N and D of
+    shape (3,) * k over the basis f(theta) = (1, cos theta, sin theta) per
+    pair, and E = N[f, ...] / D[f, ...].  Building them takes O(4^k) memory,
+    fine for the few pairs a correlation experiment measures.
 
     Every pair must hold exactly one particle in every accepted history
     (``PatternMismatch`` otherwise).  Particles outside the pairs are not
@@ -71,21 +71,16 @@ class CorrelationEvaluator:
         if len({m for pair in pairs for m in pair}) != 2 * len(pairs):
             raise PatternMismatch(f"rail pairs {pairs} must be disjoint mode pairs")
         k = self.num_pairs = len(pairs)
-        species = _injection_labels(out.circuit) if out.statistics is None else None
-        accepted = _acceptance_rule(out.circuit.target_pairs)
         # canonical key -> (outcome, amplitude per column), where the column's
         # bits say which factor each pair contributes: 0 for cos(theta/2),
         # 1 for sin(theta/2)
         branches: dict = {}
-        for paths, amplitude in _branch_combinations(out.circuit):
-            finals = [modes[3] for modes in paths]
-            if not accepted(finals):
-                continue
+        for finals, species, amplitude in out.histories:
             rails = []
             for pair in pairs:
                 if (pair[0] in finals) + (pair[1] in finals) != 1:
                     raise PatternMismatch(
-                        f"accepted history ending in {tuple(finals)} does not hold "
+                        f"accepted history ending in {finals} does not hold "
                         f"exactly one particle in rail pair {pair}"
                     )
                 u = 0 if pair[0] in finals else 1
@@ -207,7 +202,9 @@ def chsh_grid_max(
     golden-section sweeps until the improvement drops below
     ``REFINE_TOLERANCE``.
     """
-    n = int(round(360.0 / resolution_deg))
+    if not 0 < resolution_deg < np.inf:
+        raise ValueError(f"resolution_deg must be finite and positive, got {resolution_deg!r}")
+    n = max(1, round(360.0 / resolution_deg))  # coarser than 360 degrees: one angle
     angles = np.arange(n) * (2.0 * np.pi / n)
     evaluate = CorrelationEvaluator(out, pairs)
     columns = evaluate(angles[None, :], angles[:, None])  # columns[b, a] = E(a, b)

@@ -156,12 +156,11 @@ def validate_circuit(c: Circuit) -> ValidationReport:
         v.append("num_modes must be positive")
         return ValidationReport(False, tuple(v))
 
-    all_modes = set(range(1, c.num_modes + 1))
     for name, subsystems in (("input", c.input_subsystems), ("output", c.output_subsystems)):
         used: set[int] = set()
         for k, sub in enumerate(subsystems, start=1):
             sub_set = set(sub)
-            if not sub_set <= all_modes:
+            if not all(1 <= m <= c.num_modes for m in sub_set):
                 v.append(f"{name} subsystem {k} uses modes outside 1..{c.num_modes}")
             if used & sub_set:
                 v.append(f"{name} subsystems overlap at modes {sorted(used & sub_set)}")

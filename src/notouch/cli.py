@@ -12,6 +12,7 @@ does not change the internal 1e-12 amplitude pruning).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -83,8 +84,12 @@ def _parse_grid(spec: str) -> list[float]:
         if count < 1:
             raise NoTouchError("grid count must be positive")
         step = (stop - start) / count
-        return [start + i * step for i in range(count)]
-    return [float(tok) for tok in spec.split(",") if tok.strip()]
+        values = [start + i * step for i in range(count)]
+    else:
+        values = [float(tok) for tok in spec.split(",") if tok.strip()]
+    if not all(math.isfinite(value) for value in values):
+        raise NoTouchError(f"grid {spec!r} has a non-finite angle")
+    return values
 
 
 def _run_document(protocol: str, stat: Statistics, tolerance: float) -> dict:
@@ -210,9 +215,12 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     if len(tokens) != 4:
         raise NoTouchError("target must be four comma-separated complex amplitudes")
     try:
-        amps = np.array([complex(tok) for tok in tokens])
+        amps = [complex(tok) for tok in tokens]
     except ValueError:
         raise NoTouchError(f"cannot parse target amplitudes {args.target!r}") from None
+    if not all(cmath.isfinite(amp) for amp in amps):
+        raise NoTouchError(f"target amplitudes {args.target!r} must be finite")
+    amps = np.array(amps)
     total = float(np.linalg.norm(amps))
     if total < 1e-12:
         raise NoTouchError("target amplitudes are all zero")

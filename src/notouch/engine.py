@@ -5,21 +5,23 @@ input subsystem, apply the input-stage local unitaries, relabel modes by the
 permutation, apply the output-stage local unitaries, then post-select on one
 particle per target rail pair.
 
-``run`` and ``run_distinguishable`` fold the path histories of ``paths``:
-each history whose particles end in distinct modes adds its amplitude to its
-canonical final pattern.  ``paths._canonical`` pays every phase, measurement
-phases in ``analysis`` included, once from the raw final modes in ascending
-injection order.  Histories with two particles in one mode leave the
-single-occupancy sector and post-selection rejects them; their squared weight
-is the signed ``escaped`` ledger, ``1 - norm(state)**2``.  For fermions the
-colliding histories cancel exactly, so it is zero only up to rounding.
+``run`` and ``run_distinguishable`` fold the path histories of ``paths`` in
+one pass: each history whose particles end in distinct modes adds its
+amplitude to its canonical final pattern; those post-selection accepts also
+fill ``accepted`` and ``RunOutput.histories``, which ``analysis`` folds with
+the rail rotations appended.  ``paths._canonical`` pays every phase once from
+the raw final modes in ascending injection order.  Histories with two
+particles in one mode leave the single-occupancy sector and post-selection
+rejects them; their squared weight is the signed ``escaped`` ledger,
+``1 - norm(state)**2``.  For fermions the colliding histories cancel exactly,
+so it is zero only up to rounding.
 
-``inject`` and ``apply_gate`` are the gate-level test reference: each gate
-expands occupied support modes by their matrix columns, moves the weight of
-branches that doubly occupy a mode into ``escaped`` and re-sorts the rest.
-Chained from ``inject`` it reproduces ``run`` for bosons, fermions and
-labelled particles, but its per-gate anyon phases depend on the order in
-which commuting gates are listed, which is why ``run`` does not use it.
+``inject``, ``apply_gate`` and ``post_select`` are the gate-level test
+reference: each gate expands occupied support modes by their matrix columns,
+moves the weight of branches that doubly occupy a mode into ``escaped`` and
+re-sorts the rest.  Chained from ``inject`` it reproduces ``run`` for bosons,
+fermions and labelled particles, but its per-gate anyon phases depend on the
+order of commuting gates, which is why ``run`` does not use it.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .paths import _injection_labels
 from .qubits import QubitState
 
 Pair = Tuple[int, int]
+History = Tuple[Tuple[int, ...], Optional[Tuple[int, ...]], complex]
 
 
 @dataclass(frozen=True)
@@ -49,14 +52,16 @@ class RunOutput:
     single-occupancy sector).  ``accepted`` is the unnormalized projection
     onto the one-particle-per-pair patterns and ``probability`` its squared
     norm.  ``statistics`` records how the run reordered operators; it is
-    ``None`` for distinguishable-particle runs.  ``circuit`` is what was run.
+    ``None`` for distinguishable-particle runs.  ``histories`` holds every
+    accepted path history as (final modes in ascending injection order,
+    labels or ``None``, amplitude before the statistics phase).
     """
 
     pre_selection: FockState
     accepted: FockState
     probability: float
     statistics: Optional[Statistics]
-    circuit: Circuit
+    histories: Tuple[History, ...]
 
 
 def inject(c: Circuit) -> FockState:
@@ -122,38 +127,40 @@ def post_select(state: FockState, pairs: Sequence[Pair]) -> Tuple[FockState, flo
     otherwise).  Kept terms stay in the state's insertion order.
     """
     accepted = _acceptance_rule(pairs)
-    kept = {}
-    probability = 0.0
-    for modes, species, amp in state.items():
-        if accepted(modes):
-            kept[(modes, species)] = amp
-            probability += abs(amp) ** 2
-    return FockState(state.num_modes, kept), probability
+    kept = {(modes, species): amp for modes, species, amp in state.items() if accepted(modes)}
+    return FockState(state.num_modes, kept), sum(abs(amp) ** 2 for amp in kept.values())
 
 
-def _fold_histories(c: Circuit, statistics: Optional[Statistics]) -> FockState:
-    """Pre-selection state as the sum of the collision-free path histories.
-
-    With ``statistics`` of ``None`` the particles carry ``_injection_labels``.
-    """
+def _run(c: Circuit, statistics: Optional[Statistics]) -> RunOutput:
+    """Fold the collision-free path histories once: all into the pre-selection
+    state, the accepted ones also into ``accepted`` and ``histories``.  With
+    ``statistics`` of ``None`` the particles carry ``_injection_labels``."""
+    combinations = _branch_combinations(c)  # validates c before the rule
+    accept = _acceptance_rule(c.target_pairs)
     species = _injection_labels(c) if statistics is None else None
     terms: dict = {}
-    for paths, amplitude in _branch_combinations(c):
+    kept: dict = {}
+    histories = []
+    for paths, amplitude in combinations:
         finals = [modes[3] for modes in paths]
         if len(set(finals)) != len(finals):
             continue
         key, phase = _canonical(finals, species, statistics)
-        terms[key] = terms.get(key, 0.0 + 0.0j) + amplitude * phase
+        term = amplitude * phase
+        terms[key] = terms.get(key, 0.0 + 0.0j) + term
+        if accept(finals):
+            kept[key] = kept.get(key, 0.0 + 0.0j) + term
+            histories.append((tuple(finals), species, amplitude))
     state = FockState(c.num_modes, terms)
     state.escaped = 1.0 - norm(state) ** 2
-    return state
+    accepted = FockState(c.num_modes, kept)
+    probability = sum(abs(amp) ** 2 for _, _, amp in accepted.items())
+    return RunOutput(state, accepted, probability, statistics, tuple(histories))
 
 
 def run(c: Circuit, statistics: Statistics) -> RunOutput:
     """Execute the full pipeline for indistinguishable particles."""
-    state = _fold_histories(c, statistics)
-    accepted, probability = post_select(state, c.target_pairs)
-    return RunOutput(state, accepted, probability, statistics, c)
+    return _run(c, statistics)
 
 
 def run_distinguishable(c: Circuit) -> RunOutput:
@@ -163,9 +170,7 @@ def run_distinguishable(c: Circuit) -> RunOutput:
     assignments stay orthogonal, so no exchange interference occurs; the
     output carries only classical correlations.
     """
-    state = _fold_histories(c, None)
-    accepted, probability = post_select(state, c.target_pairs)
-    return RunOutput(state, accepted, probability, None, c)
+    return _run(c, None)
 
 
 def extract_dual_rail(accepted: FockState, pairs: Sequence[Pair]) -> QubitState:

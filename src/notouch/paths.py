@@ -12,8 +12,9 @@ traversed matrix elements times the statistics phase ``reorder_phase(k)``,
 where ``k`` counts the inversions of the final modes in that particle order;
 the phase is applied once per history, when the final operator product is
 put in canonical (ascending-mode) order.  ``_canonical`` is the package's
-only phase rule: ``engine.run`` folds these histories through it, and the
-correlation evaluator folds them with the rail rotations appended.
+only phase rule: ``engine.run`` folds these histories through it in one pass
+and keeps the accepted ones, and the correlation evaluator folds those with
+the rail rotations appended.
 
 Two particles "touch" when they share a mode at a stage boundary or sit
 inside the same gate's support during a stage.  The verifier certifies that
@@ -107,10 +108,10 @@ def _acceptance_rule(pairs: Sequence[Pair]) -> Callable[[Iterable[int]], bool]:
     return accepted
 
 
-def _injection_labels(c: Circuit) -> List[int]:
+def _injection_labels(c: Circuit) -> Tuple[int, ...]:
     """Particle labels in ascending injection order for labelled runs: the
     position of each particle's subsystem in ``c.input_subsystems``."""
-    return [k for _, k in sorted(zip(c.injections, itertools.count(1)))]
+    return tuple(k for _, k in sorted(zip(c.injections, itertools.count(1))))
 
 
 def _canonical(raw_modes, species, statistics: Optional[Statistics]):
@@ -195,24 +196,13 @@ def enumerate_histories(
 
     Histories whose particles end in the same mode are retained (their
     amplitude carries no exchange phase, since sorting a collision is not
-    defined); callers that compare against engine amplitudes should group by
-    final pattern, where such branches either cancel or correspond to weight
-    outside the single-occupancy sector.
+    defined).  Grouped by sorted final pattern, the collision-free histories
+    sum to the terms of ``run(c, statistics).pre_selection``, which folds this
+    same walk; the colliding ones either cancel or carry the weight outside
+    the single-occupancy sector (``escaped``).
     """
     combinations = _branch_combinations(c, max_histories)
     return [_history(paths, amp, statistics) for paths, amp in combinations]
-
-
-def history_pattern_sums(histories: Sequence[PathHistory]) -> dict:
-    """Coherent amplitude per sorted final pattern (collision-free only)."""
-    sums: dict = {}
-    for h in histories:
-        finals = h.final_modes
-        if len(set(finals)) != len(finals):
-            continue
-        key = tuple(sorted(finals))
-        sums[key] = sums.get(key, 0.0 + 0.0j) + h.amplitude
-    return sums
 
 
 def _touch_events(history: PathHistory, c: Circuit) -> List[TouchEvent]:

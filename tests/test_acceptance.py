@@ -24,7 +24,7 @@ from notouch.engine import (
     run_distinguishable,
 )
 from notouch.fock import BOSON, FERMION, anyon, norm
-from notouch.paths import enumerate_histories, history_pattern_sums, verify_no_touching
+from notouch.paths import verify_no_touching
 from notouch.qubits import QubitState
 
 TOL = 1e-9
@@ -138,8 +138,8 @@ def test_criterion_08_history_sum_oracle():
     for builder in (bell_circuit, ghz_circuit, w_circuit):
         circuit = builder()
         for stat in ALL_STATS:
-            sums = history_pattern_sums(enumerate_histories(circuit, stat))
-            # run() folds these same histories; the gate-by-gate chain does not
+            sums = {modes: amp for modes, _, amp in run(circuit, stat).pre_selection.items()}
+            # run() folds the path histories; the gate-by-gate chain does not
             pre = inject(circuit)
             for gate in (*circuit.input_stage, circuit.permutation, *circuit.output_stage):
                 pre = apply_gate(pre, gate, stat)

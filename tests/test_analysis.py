@@ -108,9 +108,28 @@ def test_correlation_errors():
     from notouch.engine import RunOutput
     from notouch.fock import FockState
 
-    empty = RunOutput(FockState(4), FockState(4), 0.0, BOSON, bell_circuit())
+    empty = RunOutput(FockState(4), FockState(4), 0.0, BOSON, ())
     with pytest.raises(ZeroProbability):
         correlation(empty, (0.0, 0.0), PAIRS)
+
+
+def test_evaluator_reads_the_run_histories_without_walking_the_circuit(monkeypatch):
+    import notouch.analysis
+    import notouch.paths
+
+    out = run(bell_circuit(), anyon(1.3))
+    table = correlation_table(out, [0.0, 0.4], [1.1, 2.0], PAIRS)
+    grid = chsh_grid_max(out, PAIRS, resolution_deg=10.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the correlation evaluator walked or validated the circuit")
+
+    for name in ("_branch_combinations", "validate_circuit"):
+        monkeypatch.setattr(notouch.paths, name, refuse)
+        monkeypatch.setattr(notouch.analysis, name, refuse, raising=False)
+    assert CorrelationEvaluator(out, PAIRS)(1.1, 2.0) == correlation(out, (1.1, 2.0), PAIRS)
+    assert correlation_table(out, [0.0, 0.4], [1.1, 2.0], PAIRS) == table
+    assert chsh_grid_max(out, PAIRS, resolution_deg=10.0) == grid
 
 
 def test_correlation_table_grid_order():
@@ -138,6 +157,20 @@ def test_chsh_grid_max_coarse():
     out_d = run_distinguishable(bell_circuit())
     value_d, _ = chsh_grid_max(out_d, PAIRS, resolution_deg=3.0)
     assert value_d <= 2 + 1e-9
+
+
+@pytest.mark.parametrize("resolution", [0, 0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+def test_chsh_grid_max_rejects_a_bad_resolution(resolution):
+    out = run(bell_circuit(), BOSON)
+    with pytest.raises(ValueError, match="resolution_deg"):
+        chsh_grid_max(out, PAIRS, resolution_deg=resolution)
+
+
+def test_chsh_grid_max_coarser_than_a_turn_scans_one_angle():
+    out = run(bell_circuit(), BOSON)
+    assert chsh_grid_max(out, PAIRS, resolution_deg=1000.0) == chsh_grid_max(
+        out, PAIRS, resolution_deg=360.0
+    )
 
 
 def test_chsh_grid_refinement_converges():

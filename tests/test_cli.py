@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -288,6 +289,51 @@ def test_synthesize_zero_target_exit_code(tmp_path, capsys):
     )
     assert code == 2
     assert "zero" in err
+
+
+def _one_error_line(code, out, err):
+    return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning on the way fails the test
+@pytest.mark.parametrize("target", ["nan,0,0,0", "inf,0,0,0", "0.7071,0,0,1-infj"])
+def test_synthesize_rejects_a_non_finite_target(tmp_path, capsys, target):
+    path = tmp_path / "c.json"
+    result = run_cli(
+        capsys, "synthesize", "--target", target, "--statistics", "boson", "--out", str(path)
+    )
+    assert _one_error_line(*result)
+    assert "finite" in result[2]
+    assert not path.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("axis", ["--theta1", "--theta2"])
+@pytest.mark.parametrize("grid", ["nan", "0,inf", "0:inf:2", "-1e308:1e308:1"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_correlate_rejects_non_finite_angles(capsys, axis, grid, fmt):
+    angles = {"--theta1": "0", "--theta2": "0", axis: grid}
+    argv = [f"{name}={value}" for name, value in angles.items()]
+    result = run_cli(
+        capsys, "correlate", "--protocol", "bell", "--statistics", "boson", *argv, "--format", fmt
+    )
+    assert _one_error_line(*result)
+    assert "non-finite" in result[2]
+
+
+def test_huge_num_modes_fails_validation_without_allocating(tmp_path, capsys):
+    from notouch.circuit import bell_circuit, circuit_to_dict
+
+    doc = circuit_to_dict(bell_circuit())
+    doc["num_modes"] = 10**12
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "run", "--protocol", f"file:{path}", "--statistics", "boson")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err == "error: invalid circuit: permutation is not a bijection on the modes\n"
 
 
 def test_tolerance_env_override(tmp_path, capsys, monkeypatch):

@@ -21,19 +21,23 @@ from notouch.analysis import MeasurementSetting, correlation
 from notouch.circuit import (
     Circuit,
     LocalUnitary,
+    bell_circuit,
+    ghz_circuit,
     hadamard_gate,
     permutation_from_one_line,
     validate_circuit,
+    w_circuit,
 )
 from notouch.engine import (
     apply_gate,
     computational_distribution,
     inject,
+    post_select,
     run,
     run_distinguishable,
 )
-from notouch.fock import BOSON, FERMION, anyon, count_inversions, norm
-from notouch.paths import enumerate_histories, history_pattern_sums
+from notouch.fock import BOSON, FERMION, anyon, canonicalize, count_inversions, norm
+from notouch.paths import _acceptance_rule, enumerate_histories
 
 STATS = (BOSON, FERMION, anyon(0.7), anyon(2.1))
 TOL = 1e-12
@@ -244,6 +248,37 @@ def test_random_circuits_detect_like_labelled_particles(seed):
         assert max((abs(dist[k] - labelled[k]) for k in dist), default=0.0) <= TOL, stat
 
 
+CIRCUITS = (
+    [pytest.param(random_circuit, 1000 + seed, id=f"random{seed}") for seed in range(24)]
+    + [pytest.param(paired_circuit, 2000 + seed, id=f"paired{seed}") for seed in range(24)]
+    + [
+        pytest.param(lambda _, build=build: build(), None, id=build.__name__)
+        for build in (bell_circuit, ghz_circuit, w_circuit)
+    ]
+)
+
+
+@pytest.mark.parametrize("make, seed", CIRCUITS)
+def test_run_accepts_exactly_what_post_select_keeps(make, seed):
+    c = make(np.random.default_rng(seed))
+    accepted = _acceptance_rule(c.target_pairs)
+    for stat in (*STATS, None):
+        out = run_distinguishable(c) if stat is None else run(c, stat)
+        kept, probability = post_select(out.pre_selection, c.target_pairs)
+        assert list(out.accepted.items()) == list(kept.items()), stat
+        assert out.probability == probability, stat
+        if stat is not None:  # the kept histories are the verifier's accepted ones
+            walked = [
+                (h.final_modes, h.amplitude)
+                for h in enumerate_histories(c, stat)
+                if accepted(h.final_modes)
+            ]
+            kept_histories = [
+                (finals, amp * canonicalize(finals, stat)[1]) for finals, _, amp in out.histories
+            ]
+            assert kept_histories == walked, stat
+
+
 @pytest.mark.parametrize("seed", range(24))
 def test_paired_circuits_correlate_like_the_rotated_oracle(seed):
     rng = np.random.default_rng(2000 + seed)
@@ -311,8 +346,9 @@ def test_commuting_input_gates_in_either_order():
 
 @pytest.mark.parametrize("stat", STATS)
 def test_reversed_injections_keep_the_ascending_convention(stat):
-    # input subsystems listed against mode order: the engine and the history
-    # sums both count inversions in ascending injection order
+    # input subsystems listed against mode order: run keeps each accepted
+    # history's final modes in ascending injection order, before any phase,
+    # and counts inversions in that order
     c = Circuit(
         num_modes=4,
         input_subsystems=((3, 4), (1, 2)),
@@ -325,6 +361,7 @@ def test_reversed_injections_keep_the_ascending_convention(stat):
     )
     assert validate_circuit(c).ok
     assert abs(run(c, FERMION).accepted.amplitude([2, 4]) + 0.5) <= TOL
-    sums = history_pattern_sums(enumerate_histories(c, stat))
-    assert _max_gap(run(c, stat).pre_selection, sums) <= TOL
+    histories = run(c, stat).histories
+    assert [(finals, species) for finals, species, _ in histories] == [((1, 3), None), ((4, 2), None)]
+    assert all(abs(amp - 0.5) <= TOL for _, _, amp in histories)
     check_against_oracle(c)

@@ -13,14 +13,13 @@ from notouch.circuit import (
     permutation_from_one_line,
     w_circuit,
 )
-from notouch.engine import apply_gate, inject
+from notouch.engine import apply_gate, inject, run
 from notouch.errors import InvalidCircuit, TooManyHistories
 from notouch.fock import BOSON, FERMION, anyon
 from notouch.paths import (
     TouchReport,
     _touch_events,
     enumerate_histories,
-    history_pattern_sums,
     verify_no_touching,
 )
 from dataclasses import replace
@@ -46,8 +45,8 @@ def test_history_amplitudes_are_bounded():
 @pytest.mark.parametrize("builder", [bell_circuit, ghz_circuit, w_circuit])
 def test_history_sums_match_engine(builder, stat):
     circuit = builder()
-    sums = history_pattern_sums(enumerate_histories(circuit, stat))
-    # run() folds these same histories; the gate-by-gate chain does not
+    sums = {modes: amp for modes, _, amp in run(circuit, stat).pre_selection.items()}
+    # run() folds the path histories; the gate-by-gate chain does not
     pre = inject(circuit)
     for gate in (*circuit.input_stage, circuit.permutation, *circuit.output_stage):
         pre = apply_gate(pre, gate, stat)
