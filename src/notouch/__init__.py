@@ -21,7 +21,6 @@ from .circuit import (
     Circuit,
     LocalUnitary,
     Permute,
-    ValidationReport,
     bell_circuit,
     ghz_circuit,
     hadamard_gate,
@@ -97,7 +96,6 @@ __all__ = [
     "Statistics",
     "TooManyHistories",
     "TouchReport",
-    "ValidationReport",
     "ZeroProbability",
     "ZeroState",
     "anyon",

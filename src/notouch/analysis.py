@@ -279,30 +279,10 @@ def three_tangle(state: QubitState) -> float:
     """
     if state.num_qubits != 3:
         raise DimensionMismatch("the tangle is defined for three qubits")
-    a = state.amplitudes
-
-    def amp(i, j, k):
-        return a[(i << 2) | (j << 1) | k]
-
-    d1 = (
-        amp(0, 0, 0) ** 2 * amp(1, 1, 1) ** 2
-        + amp(0, 0, 1) ** 2 * amp(1, 1, 0) ** 2
-        + amp(0, 1, 0) ** 2 * amp(1, 0, 1) ** 2
-        + amp(1, 0, 0) ** 2 * amp(0, 1, 1) ** 2
-    )
-    d2 = (
-        amp(0, 0, 0) * amp(1, 1, 1) * amp(0, 1, 1) * amp(1, 0, 0)
-        + amp(0, 0, 0) * amp(1, 1, 1) * amp(1, 0, 1) * amp(0, 1, 0)
-        + amp(0, 0, 0) * amp(1, 1, 1) * amp(1, 1, 0) * amp(0, 0, 1)
-        + amp(0, 1, 1) * amp(1, 0, 0) * amp(1, 0, 1) * amp(0, 1, 0)
-        + amp(0, 1, 1) * amp(1, 0, 0) * amp(1, 1, 0) * amp(0, 0, 1)
-        + amp(1, 0, 1) * amp(0, 1, 0) * amp(1, 1, 0) * amp(0, 0, 1)
-    )
-    d3 = (
-        amp(0, 0, 0) * amp(1, 1, 0) * amp(1, 0, 1) * amp(0, 1, 1)
-        + amp(1, 1, 1) * amp(0, 0, 1) * amp(0, 1, 0) * amp(1, 0, 0)
-    )
-    hyper = d1 - 2.0 * d2 + 4.0 * d3
+    # Cayley's hyperdeterminant of the 2x2x2 amplitude tensor
+    a = state.amplitudes.reshape(2, 2, 2)
+    eps = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    hyper = -0.5 * np.einsum("ijk,IJl,mnK,MNL,iI,jJ,kK,lL,mM,nN", a, a, a, a, *[eps] * 6)
     magnitude = abs(hyper)
     if magnitude < 1e-12:
         return 0.0

@@ -17,7 +17,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import NoTouchError, NotBijective, NotNormalized, SameMode
+from .errors import InvalidCircuit, NoTouchError, NotBijective, NotNormalized, SameMode
 from .fock import Statistics
 from .qubits import QubitState
 
@@ -102,6 +102,9 @@ class Circuit:
     one injected mode per input subsystem.  ``target_pairs`` holds one
     ordered rail pair per output subsystem; the first mode of a pair encodes
     the "up" qubit state.
+
+    Construction runs ``validate_circuit``, so an invalid layout raises
+    ``InvalidCircuit`` also from ``dataclasses.replace`` or ``load_circuit``.
     """
 
     num_modes: int
@@ -113,11 +116,8 @@ class Circuit:
     output_subsystems: Tuple[Tuple[int, ...], ...]
     target_pairs: Tuple[Tuple[int, int], ...]
 
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: Tuple[str, ...] = ()
+    def __post_init__(self):
+        validate_circuit(self)
 
 
 def _check_stage(
@@ -149,12 +149,12 @@ def _check_stage(
             )
 
 
-def validate_circuit(c: Circuit) -> ValidationReport:
-    """Structural validation; returns a report instead of raising."""
-    v: list[str] = []
+def validate_circuit(c: Circuit) -> None:
+    """Structural validation; raises ``InvalidCircuit`` with every violation
+    found, joined by ``"; "``.  ``Circuit`` runs it on construction."""
     if c.num_modes < 1:
-        v.append("num_modes must be positive")
-        return ValidationReport(False, tuple(v))
+        raise InvalidCircuit("num_modes must be positive")
+    v: list[str] = []
 
     for name, subsystems in (("input", c.input_subsystems), ("output", c.output_subsystems)):
         used: set[int] = set()
@@ -192,7 +192,8 @@ def validate_circuit(c: Circuit) -> ValidationReport:
             v.append(f"target pairs not disjoint at modes {sorted(seen_pair_modes & set(pair))}")
         seen_pair_modes |= set(pair)
 
-    return ValidationReport(not v, tuple(v))
+    if v:
+        raise InvalidCircuit("; ".join(v))
 
 
 def hadamard_gate(k: int, l: int) -> LocalUnitary:
@@ -244,32 +245,35 @@ def w_input_unitary() -> LocalUnitary:
     return LocalUnitary((3, 4, 5), complete_unitary(first))
 
 
+def _ghz_ring(n: int) -> Circuit:
+    """GHZ layout on ``n`` rail pairs (2j-1, 2j).
+
+    Particle ``j`` is injected on mode ``2j-1`` and split over its pair by a
+    beam splitter.  The permutation fixes odd modes and sends ``2j`` to
+    ``2j+2``, wrapping ``2n`` to ``2``; no output stage follows.
+    """
+    pairs = tuple((2 * j - 1, 2 * j) for j in range(1, n + 1))
+    one_line = [m if m % 2 else m % (2 * n) + 2 for m in range(1, 2 * n + 1)]
+    return Circuit(
+        num_modes=2 * n,
+        input_subsystems=pairs,
+        injections=tuple(a for a, _ in pairs),
+        input_stage=tuple(hadamard_gate(a, b) for a, b in pairs),
+        permutation=permutation_from_one_line(one_line),
+        output_stage=(),
+        output_subsystems=pairs,
+        target_pairs=pairs,
+    )
+
+
 def bell_circuit() -> Circuit:
     """Two-particle layout producing a Bell pair on rails (1,2) and (3,4)."""
-    return Circuit(
-        num_modes=4,
-        input_subsystems=((1, 2), (3, 4)),
-        injections=(1, 3),
-        input_stage=(hadamard_gate(1, 2), hadamard_gate(3, 4)),
-        permutation=permutation_from_one_line([1, 4, 3, 2]),
-        output_stage=(),
-        output_subsystems=((1, 2), (3, 4)),
-        target_pairs=((1, 2), (3, 4)),
-    )
+    return _ghz_ring(2)
 
 
 def ghz_circuit() -> Circuit:
     """Three-particle layout producing a GHZ state on three rail pairs."""
-    return Circuit(
-        num_modes=6,
-        input_subsystems=((1, 2), (3, 4), (5, 6)),
-        injections=(1, 3, 5),
-        input_stage=(hadamard_gate(1, 2), hadamard_gate(3, 4), hadamard_gate(5, 6)),
-        permutation=permutation_from_one_line([1, 4, 3, 6, 5, 2]),
-        output_stage=(),
-        output_subsystems=((1, 2), (3, 4), (5, 6)),
-        target_pairs=((1, 2), (3, 4), (5, 6)),
-    )
+    return _ghz_ring(3)
 
 
 def w_circuit() -> Circuit:

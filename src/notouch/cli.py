@@ -5,8 +5,8 @@ Exit codes: 0 success (and verifier pass), 1 verifier fail, 2 argument or
 input parse error, 3 circuit validation failure.  JSON documents are
 deterministic: fixed key order, terms in ascending mode order, floats
 rounded to 12 significant digits at serialization only.  The environment
-variable ``NOTOUCH_TOLERANCE`` overrides the 1e-9 reporting tolerance (it
-does not change the internal 1e-12 amplitude pruning).
+variable ``NOTOUCH_TOLERANCE`` overrides the 1e-9 reporting tolerance with a
+value in [0, 1) (it does not change the internal 1e-12 amplitude pruning).
 """
 
 from __future__ import annotations
@@ -44,9 +44,12 @@ def _report_tolerance() -> float:
     if raw is None:
         return DEFAULT_REPORT_TOLERANCE
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise NoTouchError(f"NOTOUCH_TOLERANCE={raw!r} is not a number") from None
+    if not 0.0 <= value < 1.0:  # NaN fails too; no history amplitude exceeds 1
+        raise NoTouchError(f"NOTOUCH_TOLERANCE={raw!r} must lie in [0, 1)")
+    return value
 
 
 def _sig(value: float, digits: int = 12) -> float:
@@ -136,12 +139,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_correlate(args: argparse.Namespace) -> int:
     tolerance = _report_tolerance()
+    stat = None if args.distinguishable else Statistics.parse(args.statistics)
     circuit = _resolve_circuit(args.protocol)
-    if args.distinguishable:
+    if stat is None:
         out = run_distinguishable(circuit)
         stat_label = "distinguishable"
     else:
-        out = run(circuit, Statistics.parse(args.statistics))
+        out = run(circuit, stat)
         stat_label = args.statistics
     rows = correlation_table(
         out, _parse_grid(args.theta1), _parse_grid(args.theta2), circuit.target_pairs
@@ -167,9 +171,9 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     tolerance = _report_tolerance()
+    stat = Statistics.parse(args.statistics)
     token = args.protocol if args.protocol else f"file:{args.file}"
     circuit = _resolve_circuit(token)
-    stat = Statistics.parse(args.statistics)
     note = None
     report = verify_no_touching(
         circuit,

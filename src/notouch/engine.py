@@ -35,8 +35,7 @@ import numpy as np
 from .circuit import Circuit, Gate, Permute
 from .errors import PatternMismatch, ZeroState
 from .fock import FockState, Statistics, norm
-from .paths import _acceptance_rule, _branch_combinations, _canonical, _require_valid
-from .paths import _injection_labels
+from .paths import _acceptance_rule, _branch_combinations, _canonical, _injection_labels
 from .qubits import QubitState
 
 Pair = Tuple[int, int]
@@ -66,7 +65,6 @@ class RunOutput:
 
 def inject(c: Circuit) -> FockState:
     """Initial state: one particle in each subsystem's injection mode."""
-    _require_valid(c)
     return FockState.single(c.num_modes, sorted(c.injections))
 
 
@@ -135,7 +133,7 @@ def _run(c: Circuit, statistics: Optional[Statistics]) -> RunOutput:
     """Fold the collision-free path histories once: all into the pre-selection
     state, the accepted ones also into ``accepted`` and ``histories``.  With
     ``statistics`` of ``None`` the particles carry ``_injection_labels``."""
-    combinations = _branch_combinations(c)  # validates c before the rule
+    combinations = _branch_combinations(c)
     accept = _acceptance_rule(c.target_pairs)
     species = _injection_labels(c) if statistics is None else None
     terms: dict = {}
@@ -206,12 +204,16 @@ def computational_distribution(out: RunOutput, pairs: Sequence[Pair]) -> dict:
     """Probabilities of the rail-detection bit patterns, labels ignored.
 
     This is what ideal detectors on the rails record; it coincides for
-    indistinguishable and distinguishable runs of the same circuit.
+    indistinguishable and distinguishable runs of the same circuit.  A term
+    without one particle per pair raises ``PatternMismatch``.
     """
     if out.probability <= 0:
         return {}
+    fits = _acceptance_rule(pairs)
     dist: dict = {}
     for modes, _species, amp in out.accepted.items():
+        if not fits(modes):
+            raise PatternMismatch(f"term {modes} does not match the rail pairs {pairs}")
         bits = tuple(0 if pair[0] in modes else 1 for pair in pairs)
         dist[bits] = dist.get(bits, 0.0) + abs(amp) ** 2 / out.probability
     return dist

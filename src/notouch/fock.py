@@ -24,6 +24,7 @@ regime instead of extending it.
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
@@ -102,12 +103,7 @@ def anyon(theta: float) -> Statistics:
 
 def count_inversions(seq: Sequence[int]) -> int:
     """Number of pairs ``i < j`` with ``seq[i] > seq[j]``."""
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return inv
+    return sum(1 for a, b in itertools.combinations(seq, 2) if a > b)
 
 
 def canonicalize(raw_modes: Sequence[int], statistics: Statistics) -> Tuple[Modes, complex]:

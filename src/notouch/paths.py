@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .circuit import Circuit, LocalUnitary, validate_circuit
-from .errors import InvalidCircuit, TooManyHistories
+from .circuit import Circuit, LocalUnitary
+from .errors import TooManyHistories
 from .fock import Statistics, canonicalize, canonicalize_labeled
 
 STAGE_BOUNDARIES = ("injection", "input", "permutation", "output")
@@ -77,12 +77,6 @@ class TouchReport:
     @property
     def verdict(self) -> str:
         return "pass" if self.passed else "fail"
-
-
-def _require_valid(c: Circuit) -> None:
-    report = validate_circuit(c)
-    if not report.ok:
-        raise InvalidCircuit("; ".join(report.violations))
 
 
 def _acceptance_rule(pairs: Sequence[Pair]) -> Callable[[Iterable[int]], bool]:
@@ -163,9 +157,8 @@ def _branch_combinations(
     """Stream every history as its particles' boundary modes and the product
     of its matrix elements, particles in ascending injection mode.
 
-    The circuit is validated and ``max_histories`` enforced up front.
+    ``max_histories`` is enforced up front; ``c`` was validated when built.
     """
-    _require_valid(c)
     per_particle = [_particle_paths(c, mode) for mode in sorted(c.injections)]
     if max_histories is not None:
         total = math.prod(len(paths) for paths in per_particle)
@@ -240,7 +233,7 @@ def verify_no_touching(
     (or every such history when ``post_select`` is false) for mode sharing at
     stage boundaries and for two particles inside one gate.
     """
-    combinations = _branch_combinations(c, max_histories)  # validates c before the rule
+    combinations = _branch_combinations(c, max_histories)
     accepted = _acceptance_rule(c.target_pairs)
     counterexamples: List[TouchEvent] = []
     total = checked = 0

@@ -115,6 +115,7 @@ def test_correlation_errors():
 
 def test_evaluator_reads_the_run_histories_without_walking_the_circuit(monkeypatch):
     import notouch.analysis
+    import notouch.circuit
     import notouch.paths
 
     out = run(bell_circuit(), anyon(1.3))
@@ -124,8 +125,9 @@ def test_evaluator_reads_the_run_histories_without_walking_the_circuit(monkeypat
     def refuse(*args, **kwargs):
         raise AssertionError("the correlation evaluator walked or validated the circuit")
 
-    for name in ("_branch_combinations", "validate_circuit"):
-        monkeypatch.setattr(notouch.paths, name, refuse)
+    patched = ((notouch.paths, "_branch_combinations"), (notouch.circuit, "validate_circuit"))
+    for module, name in patched:
+        monkeypatch.setattr(module, name, refuse)
         monkeypatch.setattr(notouch.analysis, name, refuse, raising=False)
     assert CorrelationEvaluator(out, PAIRS)(1.1, 2.0) == correlation(out, (1.1, 2.0), PAIRS)
     assert correlation_table(out, [0.0, 0.4], [1.1, 2.0], PAIRS) == table
@@ -200,6 +202,41 @@ def test_three_tangle_witnesses():
     assert three_tangle(product) == 0.0
     with pytest.raises(DimensionMismatch):
         three_tangle(QubitState(2, np.array([1, 0, 0, 0])))
+
+
+def _three_tangle_expansion(amplitudes):
+    """4 |hyperdeterminant| written out term by term (Coffman, Kundu, Wootters)."""
+
+    def amp(i, j, k):
+        return amplitudes[(i << 2) | (j << 1) | k]
+
+    d1 = (
+        amp(0, 0, 0) ** 2 * amp(1, 1, 1) ** 2
+        + amp(0, 0, 1) ** 2 * amp(1, 1, 0) ** 2
+        + amp(0, 1, 0) ** 2 * amp(1, 0, 1) ** 2
+        + amp(1, 0, 0) ** 2 * amp(0, 1, 1) ** 2
+    )
+    d2 = (
+        amp(0, 0, 0) * amp(1, 1, 1) * amp(0, 1, 1) * amp(1, 0, 0)
+        + amp(0, 0, 0) * amp(1, 1, 1) * amp(1, 0, 1) * amp(0, 1, 0)
+        + amp(0, 0, 0) * amp(1, 1, 1) * amp(1, 1, 0) * amp(0, 0, 1)
+        + amp(0, 1, 1) * amp(1, 0, 0) * amp(1, 0, 1) * amp(0, 1, 0)
+        + amp(0, 1, 1) * amp(1, 0, 0) * amp(1, 1, 0) * amp(0, 0, 1)
+        + amp(1, 0, 1) * amp(0, 1, 0) * amp(1, 1, 0) * amp(0, 0, 1)
+    )
+    d3 = (
+        amp(0, 0, 0) * amp(1, 1, 0) * amp(1, 0, 1) * amp(0, 1, 1)
+        + amp(1, 1, 1) * amp(0, 0, 1) * amp(0, 1, 0) * amp(1, 0, 0)
+    )
+    return 4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3)
+
+
+def test_three_tangle_matches_the_term_expansion():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        z = rng.normal(size=8) + 1j * rng.normal(size=8)
+        state = QubitState(3, z / np.linalg.norm(z))
+        assert abs(three_tangle(state) - _three_tangle_expansion(state.amplitudes)) <= 1e-14
 
 
 def _haar_unitary(rng, n=2):

@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 
 from notouch.circuit import (
     LocalUnitary,
     Permute,
+    _ghz_ring,
     bell_circuit,
     circuit_from_dict,
     circuit_to_dict,
@@ -15,21 +18,42 @@ from notouch.circuit import (
     permutation_from_one_line,
     save_circuit,
     synthesize_two_qubit,
-    validate_circuit,
     w_circuit,
     w_input_unitary,
 )
-from notouch.engine import apply_gate, extract_dual_rail, run
-from notouch.errors import NoTouchError, NotBijective, NotNormalized, SameMode
+from notouch.engine import apply_gate, extract_dual_rail, inject, run, run_distinguishable
+from notouch.errors import InvalidCircuit, NoTouchError, NotBijective, NotNormalized, SameMode
 from notouch.fock import BOSON, FERMION, FockState, anyon
+from notouch.paths import enumerate_histories, verify_no_touching
 from notouch.qubits import QubitState
 from dataclasses import replace
 
 
 @pytest.mark.parametrize("builder", [bell_circuit, ghz_circuit, w_circuit, hom_circuit])
 def test_builders_validate(builder):
-    report = validate_circuit(builder())
-    assert report.ok, report.violations
+    builder()  # construction raises InvalidCircuit on a bad layout
+
+
+def test_a_built_circuit_is_not_validated_again(monkeypatch):
+    def results(c):
+        runs = (run(c, anyon(0.7)), run_distinguishable(c))
+        return (
+            [(list(out.accepted.items()), out.probability, out.histories) for out in runs],
+            verify_no_touching(c, FERMION),
+            enumerate_histories(c, BOSON),
+            list(inject(c).items()),
+        )
+
+    circuits = [bell_circuit(), ghz_circuit(), w_circuit(), _ghz_ring(10)]
+    expected = [results(c) for c in circuits]
+
+    def refuse(c):
+        raise AssertionError("a built circuit was validated again")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "notouch" and hasattr(module, "validate_circuit"):
+            monkeypatch.setattr(module, "validate_circuit", refuse)
+    assert [results(c) for c in circuits] == expected
 
 
 def test_hadamard_matrix():
@@ -105,25 +129,19 @@ def test_permutation_round_trip_is_identity(builder):
 
 
 def test_validation_flags_non_local_input_gate():
-    bad = replace(bell_circuit(), input_stage=(hadamard_gate(2, 3), hadamard_gate(1, 4)))
-    report = validate_circuit(bad)
-    assert not report.ok
-    assert any("non-local input" in v for v in report.violations)
+    with pytest.raises(InvalidCircuit, match="non-local input"):
+        replace(bell_circuit(), input_stage=(hadamard_gate(2, 3), hadamard_gate(1, 4)))
 
 
 def test_validation_flags_overlapping_pairs():
-    bad = replace(ghz_circuit(), target_pairs=((1, 2), (2, 3), (5, 6)))
-    report = validate_circuit(bad)
-    assert not report.ok
-    assert any("not disjoint" in v or "not inside" in v for v in report.violations)
+    with pytest.raises(InvalidCircuit, match="not disjoint|not inside"):
+        replace(ghz_circuit(), target_pairs=((1, 2), (2, 3), (5, 6)))
 
 
 def test_validation_flags_non_unitary_gate():
     gate = LocalUnitary((1, 2), np.array([[1, 0], [1, 1]], dtype=complex))
-    bad = replace(bell_circuit(), input_stage=(gate, hadamard_gate(3, 4)))
-    report = validate_circuit(bad)
-    assert not report.ok
-    assert any("not unitary" in v for v in report.violations)
+    with pytest.raises(InvalidCircuit, match="not unitary"):
+        replace(bell_circuit(), input_stage=(gate, hadamard_gate(3, 4)))
 
 
 def test_is_unitary_follows_the_allclose_rule():
@@ -149,9 +167,8 @@ def test_is_unitary_follows_the_allclose_rule():
 
 
 def test_validation_flags_bad_injection():
-    bad = replace(bell_circuit(), injections=(1, 2))
-    report = validate_circuit(bad)
-    assert not report.ok
+    with pytest.raises(InvalidCircuit, match="injection 2 is not in input subsystem 2"):
+        replace(bell_circuit(), injections=(1, 2))
 
 
 def test_circuit_json_round_trip(tmp_path):

@@ -343,6 +343,27 @@ def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["metadata"]["reporting_tolerance"] == 1e-6
 
 
+@pytest.mark.parametrize("value", ["1", "1.5", "inf", "nan", "-1e-9"])
+def test_tolerance_env_outside_unit_interval_is_rejected(tmp_path, capsys, monkeypatch, value):
+    path = tmp_path / "hom.json"
+    save_circuit(hom_circuit(), path)
+    monkeypatch.setenv("NOTOUCH_TOLERANCE", value)
+    code, out, err = run_cli(capsys, "verify", "--file", str(path), "--statistics", "boson")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: NOTOUCH_TOLERANCE={value!r} must lie in [0, 1)\n"
+
+
+def test_tolerance_env_accepts_zero(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "hom.json"
+    save_circuit(hom_circuit(), path)
+    monkeypatch.setenv("NOTOUCH_TOLERANCE", "0")
+    code, out, _ = run_cli(capsys, "verify", "--file", str(path), "--statistics", "boson")
+    assert code == 1
+    doc = json.loads(out)
+    assert (doc["verdict"], doc["metadata"]["reporting_tolerance"]) == ("fail", 0.0)
+
+
 def test_run_csv_format(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--protocol", "bell", "--statistics", "boson", "--format", "csv"

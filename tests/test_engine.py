@@ -37,9 +37,8 @@ def test_inject_examples():
 
 
 def test_inject_rejects_invalid_circuit():
-    bad = replace(bell_circuit(), injections=(1, 1))
-    with pytest.raises(InvalidCircuit):
-        inject(bad)
+    with pytest.raises(InvalidCircuit, match="injection 1 is not in input subsystem 2"):
+        inject(replace(bell_circuit(), injections=(1, 1)))
 
 
 def test_apply_hadamard_partial_product():
@@ -211,6 +210,12 @@ def test_distinguishable_matches_indistinguishable_in_computational_basis():
     assert set(d_ind) == set(d_dis)
     for key in d_ind:
         assert abs(d_ind[key] - d_dis[key]) < 1e-12
+
+
+def test_computational_distribution_rejects_terms_off_the_pairs():
+    # every accepted Bell term puts both particles in one of these pairs
+    with pytest.raises(PatternMismatch):
+        computational_distribution(run(bell_circuit(), BOSON), ((1, 3), (2, 4)))
 
 
 @pytest.mark.parametrize("stat", ALL_STATS)

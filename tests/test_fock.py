@@ -87,6 +87,22 @@ def test_anyon_inversion_count_accumulates():
     assert abs(p1 * p2 - cmath.exp(1j * theta * (inv1 + inv2))) < 1e-12
 
 
+def test_count_inversions_matches_the_double_loop():
+    def double_loop(seq):
+        inv = 0
+        for i in range(len(seq)):
+            for j in range(i + 1, len(seq)):
+                if seq[i] > seq[j]:
+                    inv += 1
+        return inv
+
+    rng = np.random.default_rng(17)
+    for length in range(13):
+        for _ in range(20):
+            seq = [int(m) for m in rng.permutation(np.arange(1, 2 * length + 1))[:length]]
+            assert count_inversions(seq) == double_loop(seq)
+
+
 def test_anyon_limits_match_boson_and_fermion():
     for seq in ([2, 1], [3, 2, 1], [1, 4, 2, 3]):
         _, pb = canonicalize(seq, BOSON)
