@@ -22,7 +22,6 @@ from .paths import _canonical
 from .qubits import QubitState
 
 Pair = Tuple[int, int]
-REFINE_TOLERANCE = 1e-3  # least gain per sweep of chsh_grid_max(refine=True)
 
 
 @dataclass(frozen=True)
@@ -198,9 +197,11 @@ def chsh_grid_max(
     the filter, so the result equals the full search: the first maximum in
     (b, b', a, a') order of this evaluator's grid values.  A surface that is
     far from bilinear has a large eta and simply lets every pair through.
-    With ``refine`` set, the grid optimum is polished by per-coordinate
-    golden-section sweeps until the improvement drops below
-    ``REFINE_TOLERANCE``.
+    With ``refine`` set, coordinate sweeps polish the grid optimum: each
+    angle in turn moves to the first maximum of 65 even offsets in [-h, h].
+    h starts at 2 pi / n, a sweep that does not raise the value divides it
+    by 16, and the search stops at h <= 1e-9 rad.  The first maximum moves
+    a flat angle by -h, which lets a search that starts on a saddle leave it.
     """
     if not 0 < resolution_deg < np.inf:
         raise ValueError(f"resolution_deg must be finite and positive, got {resolution_deg!r}")
@@ -239,28 +240,18 @@ def chsh_grid_max(
 
     current = list(best_angles)
     value = float(_chsh(evaluate, [current])[0])
-    step = 2.0 * np.pi / n
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    while True:
-        improved = value
+    half = 2.0 * np.pi / n
+    offsets = np.linspace(-1.0, 1.0, 65)
+    while half > 1e-9:
+        start = value
         for i in range(4):
-            lo, hi = current[i] - step, current[i] + step
-            x1 = hi - gr * (hi - lo)
-            x2 = lo + gr * (hi - lo)
-            for _ in range(40):
-                c1, c2 = list(current), list(current)
-                c1[i], c2[i] = x1, x2
-                v1, v2 = _chsh(evaluate, [c1, c2])
-                if v1 < v2:
-                    lo = x1
-                    x1, x2 = x2, lo + gr * (hi - lo)
-                else:
-                    hi = x2
-                    x2, x1 = x1, hi - gr * (hi - lo)
-            current[i] = (lo + hi) / 2.0
-        value = float(_chsh(evaluate, [current])[0])
-        if value - improved < REFINE_TOLERANCE:
-            break
+            trial = np.tile(current, (len(offsets), 1))
+            trial[:, i] += half * offsets
+            values = _chsh(evaluate, trial)
+            j = int(values.argmax())
+            current[i], value = float(trial[j, i]), float(values[j])
+        if value <= start:
+            half /= 16.0
     return value, tuple(current)
 
 

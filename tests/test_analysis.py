@@ -175,10 +175,30 @@ def test_chsh_grid_max_coarser_than_a_turn_scans_one_angle():
     )
 
 
-def test_chsh_grid_refinement_converges():
+@pytest.mark.parametrize("resolution", [10.0, 90.0, 1000.0])
+@pytest.mark.parametrize("stat", [BOSON, FERMION], ids=["boson", "fermion"])
+def test_chsh_grid_refinement_converges(stat, resolution):
+    # at 1000 degrees the grid has one angle: the start (0, 0, 0, 0) is a
+    # saddle with S = 2 that the refinement has to leave
+    out = run(bell_circuit(), stat)
+    value, _ = chsh_grid_max(out, PAIRS, resolution_deg=resolution, refine=True)
+    assert abs(value - 2 * np.sqrt(2)) < 1e-12
+    assert value >= chsh_grid_max(out, PAIRS, resolution_deg=resolution)[0] - 1e-15
+
+
+def test_chsh_refinement_call_budget_and_float_angles(monkeypatch):
     out = run(bell_circuit(), BOSON)
-    value, _ = chsh_grid_max(out, PAIRS, resolution_deg=10.0, refine=True)
-    assert abs(value - 2 * np.sqrt(2)) < 1e-3
+    calls = []
+    evaluate = CorrelationEvaluator.__call__
+
+    def counted(self, *thetas):
+        calls.append(thetas)
+        return evaluate(self, *thetas)
+
+    monkeypatch.setattr(CorrelationEvaluator, "__call__", counted)
+    _, angles = chsh_grid_max(out, PAIRS, resolution_deg=1.0, refine=True)
+    assert len(calls) <= 100
+    assert all(type(angle) is float for angle in angles)
 
 
 def test_fidelity_examples():
@@ -430,6 +450,55 @@ def test_refined_chsh_reaches_the_correlation_matrix_bound():
             out = run(circuit, stat)
             value, _ = chsh_grid_max(out, circuit.target_pairs, resolution_deg=1.0, refine=True)
             assert abs(value - bound) < 1e-9
+
+
+GOLDEN_TOLERANCE = 1e-3  # least gain per sweep of the golden-section reference
+
+
+def _golden_refine(out, pairs, resolution_deg):
+    """The grid optimum polished by per-coordinate golden-section sweeps."""
+    evaluate = CorrelationEvaluator(out, pairs)
+
+    def chsh(a, ap, b, bp):
+        return evaluate(a, b) + evaluate(a, bp) + evaluate(ap, b) - evaluate(ap, bp)
+
+    current = list(chsh_grid_max(out, pairs, resolution_deg)[1])
+    value = float(chsh(*current))
+    step = 2.0 * np.pi / max(1, round(360.0 / resolution_deg))
+    gr = (np.sqrt(5.0) - 1.0) / 2.0
+    while True:
+        improved = value
+        for i in range(4):
+            lo, hi = current[i] - step, current[i] + step
+            x1 = hi - gr * (hi - lo)
+            x2 = lo + gr * (hi - lo)
+            for _ in range(40):
+                c1, c2 = list(current), list(current)
+                c1[i], c2[i] = x1, x2
+                if chsh(*c1) < chsh(*c2):
+                    lo = x1
+                    x1, x2 = x2, lo + gr * (hi - lo)
+                else:
+                    hi = x2
+                    x2, x1 = x1, hi - gr * (hi - lo)
+            current[i] = (lo + hi) / 2.0
+        value = float(chsh(*current))
+        if value - improved < GOLDEN_TOLERANCE:
+            return value
+
+
+@pytest.mark.parametrize("resolution", [1.0, 10.0, 45.0])
+def test_refined_chsh_is_no_lower_than_the_golden_section_reference(resolution):
+    cases = [(run(bell_circuit(), stat), PAIRS) for stat in (BOSON, FERMION, anyon(0.7))]
+    cases.append((run_distinguishable(bell_circuit()), PAIRS))
+    for target in _random_targets(59, 8):
+        for stat in (BOSON, FERMION, anyon(1.3)):
+            circuit = synthesize_two_qubit(target, stat)
+            cases.append((run(circuit, stat), circuit.target_pairs))
+    cases.append(_interleaved_anyon_run())
+    for out, pairs in cases:
+        value, _ = chsh_grid_max(out, pairs, resolution_deg=resolution, refine=True)
+        assert value >= _golden_refine(out, pairs, resolution) - 1e-12
 
 
 def test_evaluator_pair_precondition():
