@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence, Tuple, Union
 
 import numpy as np
@@ -245,22 +245,24 @@ def w_input_unitary() -> LocalUnitary:
     return LocalUnitary((3, 4, 5), complete_unitary(first))
 
 
-def _ghz_ring(n: int) -> Circuit:
+def _ghz_ring(n: int, input_stage=None, output_stage=()) -> Circuit:
     """GHZ layout on ``n`` rail pairs (2j-1, 2j).
 
-    Particle ``j`` is injected on mode ``2j-1`` and split over its pair by a
-    beam splitter.  The permutation fixes odd modes and sends ``2j`` to
-    ``2j+2``, wrapping ``2n`` to ``2``; no output stage follows.
+    Particle ``j`` is injected on mode ``2j-1``, then by default split over
+    its pair by a beam splitter.  The permutation fixes odd modes and sends
+    ``2j`` to ``2j+2``, wrapping ``2n`` to ``2``; no output stage by default.
     """
     pairs = tuple((2 * j - 1, 2 * j) for j in range(1, n + 1))
     one_line = [m if m % 2 else m % (2 * n) + 2 for m in range(1, 2 * n + 1)]
+    if input_stage is None:
+        input_stage = tuple(hadamard_gate(a, b) for a, b in pairs)
     return Circuit(
         num_modes=2 * n,
         input_subsystems=pairs,
         injections=tuple(a for a, _ in pairs),
-        input_stage=tuple(hadamard_gate(a, b) for a, b in pairs),
+        input_stage=input_stage,
         permutation=permutation_from_one_line(one_line),
-        output_stage=(),
+        output_stage=output_stage,
         output_subsystems=pairs,
         target_pairs=pairs,
     )
@@ -341,12 +343,8 @@ def synthesize_two_qubit(target: QubitState, statistics: Statistics) -> Circuit:
     first_col = np.array([lam[0], np.conjugate(s) * lam[1]], dtype=complex)
     prep = LocalUnitary((1, 2), complete_unitary(first_col))
 
-    base = bell_circuit()
-    return replace(
-        base,
-        input_stage=(prep, hadamard_gate(3, 4)),
-        output_stage=(LocalUnitary((1, 2), w1), LocalUnitary((3, 4), w2)),
-    )
+    bases = (LocalUnitary((1, 2), w1), LocalUnitary((3, 4), w2))
+    return _ghz_ring(2, input_stage=(prep, hadamard_gate(3, 4)), output_stage=bases)
 
 
 # ---------------------------------------------------------------------------

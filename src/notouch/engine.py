@@ -5,8 +5,9 @@ input subsystem, apply the input-stage local unitaries, relabel modes by the
 permutation, apply the output-stage local unitaries, then post-select on one
 particle per target rail pair.
 
-``run`` and ``run_distinguishable`` fold the path histories of ``paths`` in
-one pass: each history whose particles end in distinct modes adds its
+``run`` and ``run_distinguishable`` fold the history records ``(boundaries,
+finals, amplitude)`` of ``paths`` in one pass and read only ``finals`` and
+``amplitude``: each history whose final modes are distinct adds its
 amplitude to its canonical final pattern; those post-selection accepts also
 fill ``accepted`` and ``RunOutput.histories``, which ``analysis`` folds with
 the rail rotations appended.  ``paths._canonical`` pays every phase once from
@@ -133,14 +134,12 @@ def _run(c: Circuit, statistics: Optional[Statistics]) -> RunOutput:
     """Fold the collision-free path histories once: all into the pre-selection
     state, the accepted ones also into ``accepted`` and ``histories``.  With
     ``statistics`` of ``None`` the particles carry ``_injection_labels``."""
-    combinations = _branch_combinations(c)
     accept = _acceptance_rule(c.target_pairs)
     species = _injection_labels(c) if statistics is None else None
     terms: dict = {}
     kept: dict = {}
     histories = []
-    for paths, amplitude in combinations:
-        finals = [modes[3] for modes in paths]
+    for _, finals, amplitude in _branch_combinations(c):
         if len(set(finals)) != len(finals):
             continue
         key, phase = _canonical(finals, species, statistics)
@@ -148,7 +147,7 @@ def _run(c: Circuit, statistics: Optional[Statistics]) -> RunOutput:
         terms[key] = terms.get(key, 0.0 + 0.0j) + term
         if accept(finals):
             kept[key] = kept.get(key, 0.0 + 0.0j) + term
-            histories.append((tuple(finals), species, amplitude))
+            histories.append((finals, species, amplitude))
     state = FockState(c.num_modes, terms)
     state.escaped = 1.0 - norm(state) ** 2
     accepted = FockState(c.num_modes, kept)

@@ -2,9 +2,10 @@
 
 A path history assigns every particle a definite mode at each stage
 boundary: after injection, after the input stage, after the permutation and
-after the output stage.  A particle changes mode only inside a gate whose
-support contains it, branching once per support mode with the corresponding
-matrix element as amplitude.
+after the output stage.  One rule, ``_branches``, moves a particle in both
+stages: in a gate's support it branches once per support mode, with the
+matrix element as amplitude; elsewhere it stays.  Each history streams as
+the record ``(boundaries, finals, amplitude)``, its final modes ready to use.
 
 Particles are ordered by ascending injection mode, the creation-operator
 order of the injected state.  A history's amplitude is the product of the
@@ -119,61 +120,51 @@ def _canonical(raw_modes, species, statistics: Optional[Statistics]):
     return (modes, None), phase
 
 
-def _stage_gate_for(mode: int, gates: Sequence[LocalUnitary]):
+def _branches(mode: int, gates: Sequence[LocalUnitary]) -> List[Tuple[int, complex]]:
+    """Destination and matrix element of each branch of a particle entering
+    ``mode``: one per support mode of the gate that holds it, else stay."""
     for gate in gates:
         if mode in gate.support:
-            return gate
-    return None
+            src = gate.support.index(mode)
+            return [(dest, complex(gate.matrix[i, src])) for i, dest in enumerate(gate.support)]
+    return [(mode, 1.0 + 0.0j)]
 
 
-def _particle_paths(c: Circuit, injected: int) -> List[Tuple[Boundaries, complex]]:
+def _particle_paths(c: Circuit, injected: int) -> Iterator[Tuple[Boundaries, complex]]:
     """All branch choices for one particle: boundary modes and amplitude."""
-    paths = []
-    gate_in = _stage_gate_for(injected, c.input_stage)
-    if gate_in is None:
-        input_branches = [(injected, 1.0 + 0.0j)]
-    else:
-        src = gate_in.support.index(injected)
-        input_branches = [
-            (dest, complex(gate_in.matrix[i, src]))
-            for i, dest in enumerate(gate_in.support)
-        ]
-    for after_input, amp_in in input_branches:
+    for after_input, amp_in in _branches(injected, c.input_stage):
         after_perm = c.permutation.apply(after_input)
-        gate_out = _stage_gate_for(after_perm, c.output_stage)
-        if gate_out is None:
-            paths.append(((injected, after_input, after_perm, after_perm), amp_in))
-        else:
-            src = gate_out.support.index(after_perm)
-            for i, dest in enumerate(gate_out.support):
-                amp = amp_in * complex(gate_out.matrix[i, src])
-                paths.append(((injected, after_input, after_perm, dest), amp))
-    return paths
+        for dest, amp_out in _branches(after_perm, c.output_stage):
+            yield (injected, after_input, after_perm, dest), amp_in * amp_out
 
 
 def _branch_combinations(
     c: Circuit, max_histories: Optional[int] = None
-) -> Iterator[Tuple[Tuple[Boundaries, ...], complex]]:
-    """Stream every history as its particles' boundary modes and the product
-    of its matrix elements, particles in ascending injection mode.
+) -> Iterator[Tuple[Tuple[Boundaries, ...], Tuple[int, ...], complex]]:
+    """Stream every history as ``(boundaries, finals, amplitude)``, particles
+    in ascending injection mode: the product of each particle's boundary
+    modes, final modes and matrix elements, three lists built once per circuit.
 
     ``max_histories`` is enforced up front; ``c`` was validated when built.
     """
-    per_particle = [_particle_paths(c, mode) for mode in sorted(c.injections)]
+    per_particle = [list(_particle_paths(c, mode)) for mode in sorted(c.injections)]
     if max_histories is not None:
         total = math.prod(len(paths) for paths in per_particle)
         if total > max_histories:
             raise TooManyHistories(
                 f"{total} histories exceed the enumeration limit of {max_histories}"
             )
-    return (
-        (tuple(modes for modes, _ in combo), math.prod(amp for _, amp in combo))
-        for combo in itertools.product(*per_particle)
+    boundaries = [[modes for modes, _ in paths] for paths in per_particle]
+    finals = [[modes[3] for modes, _ in paths] for paths in per_particle]
+    amplitudes = [[amp for _, amp in paths] for paths in per_particle]
+    return zip(
+        itertools.product(*boundaries),
+        itertools.product(*finals),
+        map(math.prod, itertools.product(*amplitudes)),
     )
 
 
-def _history(paths, amplitude: complex, statistics: Statistics) -> PathHistory:
-    finals = [modes[3] for modes in paths]
+def _history(paths, finals, amplitude: complex, statistics: Statistics) -> PathHistory:
     if len(set(finals)) == len(finals):
         amplitude *= _canonical(finals, None, statistics)[1]
     boundaries = tuple(tuple(modes[b] for modes in paths) for b in range(4))
@@ -194,8 +185,7 @@ def enumerate_histories(
     same walk; the colliding ones either cancel or carry the weight outside
     the single-occupancy sector (``escaped``).
     """
-    combinations = _branch_combinations(c, max_histories)
-    return [_history(paths, amp, statistics) for paths, amp in combinations]
+    return [_history(*record, statistics) for record in _branch_combinations(c, max_histories)]
 
 
 def _touch_events(history: PathHistory, c: Circuit) -> List[TouchEvent]:
@@ -233,18 +223,17 @@ def verify_no_touching(
     (or every such history when ``post_select`` is false) for mode sharing at
     stage boundaries and for two particles inside one gate.
     """
-    combinations = _branch_combinations(c, max_histories)
     accepted = _acceptance_rule(c.target_pairs)
     counterexamples: List[TouchEvent] = []
     total = checked = 0
-    for paths, amplitude in combinations:
+    for paths, finals, amplitude in _branch_combinations(c, max_histories):
         total += 1
         if abs(amplitude) <= amplitude_tolerance:
             continue
-        if post_select and not accepted(modes[3] for modes in paths):
+        if post_select and not accepted(finals):
             continue
         checked += 1
-        counterexamples.extend(_touch_events(_history(paths, amplitude, statistics), c))
+        counterexamples.extend(_touch_events(_history(paths, finals, amplitude, statistics), c))
     return TouchReport(
         passed=not counterexamples,
         counterexamples=tuple(counterexamples),

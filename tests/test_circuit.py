@@ -228,6 +228,23 @@ def test_synthesize_product_target_is_rank_one():
     assert abs(abs(np.vdot(target.amplitudes, got.amplitudes)) ** 2 - 1) < 1e-12
 
 
+def test_synthesis_validates_one_circuit(monkeypatch):
+    import notouch.circuit
+
+    validated = []
+
+    def counting(c):
+        validated.append(c)
+        validate(c)
+
+    validate = notouch.circuit.validate_circuit
+    monkeypatch.setattr(notouch.circuit, "validate_circuit", counting)
+    s = 1 / np.sqrt(2)
+    circuit = synthesize_two_qubit(QubitState(2, np.array([s, 0, 0, s])), FERMION)
+    assert len(validated) == 1
+    assert validated[0] is circuit
+
+
 def test_synthesize_rejects_unnormalized():
     with pytest.raises(NotNormalized):
         synthesize_two_qubit(QubitState(2, np.array([1.0, 1.0, 0, 0])), BOSON)

@@ -274,6 +274,26 @@ def test_run_accepts_exactly_what_post_select_keeps(make, seed):
             assert kept_histories == walked, stat
 
 
+@pytest.mark.parametrize("stat", (BOSON, FERMION))
+@pytest.mark.parametrize("make, seed", CIRCUITS)
+def test_history_groups_match_transfer_matrix_products(make, seed, stat):
+    # every ordered final-mode tuple the walk reaches, colliding ones
+    # included, sums to the product of its particles' entries of T; each
+    # column of T is a unit vector, so the squared sums over all tuples are 1
+    c = make(np.random.default_rng(seed))
+    t = transfer_matrix(c)
+    sources = sorted(c.injections)
+    groups: dict = {}
+    for h in enumerate_histories(c, stat):
+        groups[h.final_modes] = groups.get(h.final_modes, 0.0) + h.amplitude
+    for finals, amp in groups.items():
+        expected = np.prod([t[dest - 1, src - 1] for dest, src in zip(finals, sources)])
+        if len(set(finals)) == len(finals):
+            expected *= stat.reorder_phase(count_inversions(finals))
+        assert abs(amp - expected) <= TOL, finals
+    assert abs(sum(abs(amp) ** 2 for amp in groups.values()) - 1.0) <= TOL
+
+
 @pytest.mark.parametrize("seed", range(24))
 def test_paired_circuits_correlate_like_the_rotated_oracle(seed):
     rng = np.random.default_rng(2000 + seed)

@@ -1,3 +1,7 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -276,3 +280,15 @@ def test_collision_raise_mode():
     # fermionic branches into one mode cancel exactly: nothing escapes
     out = apply_gate(state, hadamard_gate(1, 2), FERMION)
     assert abs(out.amplitude([1, 2]) + 1.0) < 1e-12
+
+
+def test_every_traced_layer_name_exists():
+    # the benchmark's tracer looks up each LAYERS name in its notouch module
+    # and fails the traced run on a missing one
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, names in tracing.LAYERS.items():
+        module = importlib.import_module(f"notouch.{layer}")
+        assert [name for name in names if not hasattr(module, name)] == [], layer

@@ -4,10 +4,12 @@ import pytest
 
 import notouch.paths
 from notouch.circuit import (
+    Circuit,
     _ghz_ring,
     bell_circuit,
     ghz_circuit,
     hom_circuit,
+    permutation_from_one_line,
     w_circuit,
 )
 from notouch.engine import apply_gate, inject, run
@@ -151,3 +153,26 @@ def test_verifier_equals_a_filter_over_all_histories(builder, stat, post_select,
         circuit, stat, post_select=post_select, amplitude_tolerance=tolerance
     )
     assert report == _filtered_report(circuit, stat, post_select, tolerance)
+
+
+@pytest.mark.parametrize("stat", ALL_STATS)
+def test_a_circuit_without_particles_has_one_empty_history(stat):
+    empty = Circuit(
+        num_modes=1,
+        input_subsystems=(),
+        injections=(),
+        input_stage=(),
+        permutation=permutation_from_one_line([1]),
+        output_stage=(),
+        output_subsystems=(),
+        target_pairs=(),
+    )
+    out = run(empty, stat)
+    assert list(out.accepted.items()) == [((), None, 1)]
+    assert out.probability == 1.0
+    assert out.histories == (((), None, 1),)
+    report = verify_no_touching(empty, stat)
+    assert report.verdict == "pass"
+    assert (report.histories_total, report.histories_checked) == (1, 1)
+    (history,) = enumerate_histories(empty, stat)
+    assert history.particle_modes == ((), (), (), ())
