@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import RunOutput
 from .errors import DimensionMismatch, PatternMismatch, ZeroProbability
-from .paths import _canonical
+from .paths import _acceptance_rule, _canonical
 from .qubits import QubitState
 
 Pair = Tuple[int, int]
@@ -67,8 +67,7 @@ class CorrelationEvaluator:
         if out.probability <= 0.0:
             raise ZeroProbability("cannot correlate an impossible run")
         pairs = [tuple(pair) for pair in pairs]
-        if len({m for pair in pairs for m in pair}) != 2 * len(pairs):
-            raise PatternMismatch(f"rail pairs {pairs} must be disjoint mode pairs")
+        _acceptance_rule(pairs)  # PatternMismatch unless disjoint pairs of two modes
         k = self.num_pairs = len(pairs)
         # canonical key -> (outcome, amplitude per column), where the column's
         # bits say which factor each pair contributes: 0 for cos(theta/2),

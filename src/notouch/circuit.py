@@ -55,14 +55,14 @@ class LocalUnitary:
         mat = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", mat)
 
-    def is_unitary(self, tol: float = UNITARY_TOLERANCE) -> bool:
+    def is_unitary(self) -> bool:
         m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != len(self.support):
             return False
         # np.allclose's rule (rtol 1e-5 included) without its overhead; nan
         # and inf entries compare false
-        identity = np.eye(m.shape[0])
-        return bool((np.abs(m.conj().T @ m - identity) <= tol + 1e-5 * identity).all())
+        eye = np.eye(m.shape[0])
+        return bool((np.abs(m.conj().T @ m - eye) <= UNITARY_TOLERANCE + 1e-5 * eye).all())
 
 
 @dataclass(frozen=True)
@@ -339,7 +339,7 @@ def synthesize_two_qubit(target: QubitState, statistics: Statistics) -> Circuit:
     w1 = u
     w2 = vh.T
 
-    s = statistics.exchange_phase
+    s = statistics.reorder_phase(1)
     first_col = np.array([lam[0], np.conjugate(s) * lam[1]], dtype=complex)
     prep = LocalUnitary((1, 2), complete_unitary(first_col))
 
@@ -350,10 +350,6 @@ def synthesize_two_qubit(target: QubitState, statistics: Statistics) -> Circuit:
 # ---------------------------------------------------------------------------
 # JSON circuit files
 # ---------------------------------------------------------------------------
-
-def _matrix_to_json(matrix: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
-
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
@@ -388,6 +384,11 @@ def _gate_from_json(g, what: str) -> LocalUnitary:
     return LocalUnitary(support, matrix)
 
 
+def _gate_to_json(g: LocalUnitary) -> dict:
+    matrix = [[[float(z.real), float(z.imag)] for z in row] for row in g.matrix]
+    return {"support": list(g.support), "matrix": matrix}
+
+
 _CIRCUIT_KEYS = (
     "num_modes",
     "input_subsystems",
@@ -405,15 +406,9 @@ def circuit_to_dict(c: Circuit) -> dict:
         "num_modes": c.num_modes,
         "input_subsystems": [list(sub) for sub in c.input_subsystems],
         "injections": list(c.injections),
-        "input_gates": [
-            {"support": list(g.support), "matrix": _matrix_to_json(g.matrix)}
-            for g in c.input_stage
-        ],
+        "input_gates": [_gate_to_json(g) for g in c.input_stage],
         "permutation": list(c.permutation.one_line),
-        "output_gates": [
-            {"support": list(g.support), "matrix": _matrix_to_json(g.matrix)}
-            for g in c.output_stage
-        ],
+        "output_gates": [_gate_to_json(g) for g in c.output_stage],
         "output_subsystems": [list(sub) for sub in c.output_subsystems],
         "target_pairs": [list(pair) for pair in c.target_pairs],
     }

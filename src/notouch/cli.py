@@ -1,8 +1,8 @@
 """Command-line frontend: run protocols, sweep correlations, verify
 no-touching, synthesize two-qubit circuits.
 
-Exit codes: 0 success (and verifier pass), 1 verifier fail, 2 argument or
-input parse error, 3 circuit validation failure.  JSON documents are
+Exit codes: 0 success (and verifier pass), 1 verifier fail, 2 argument,
+input or out-of-memory error, 3 circuit validation failure.  JSON documents are
 deterministic: fixed key order, terms in ascending mode order, floats
 rounded to 12 significant digits at serialization only.  The environment
 variable ``NOTOUCH_TOLERANCE`` overrides the 1e-9 reporting tolerance with a
@@ -325,7 +325,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvalidCircuit as exc:
         print(f"error: invalid circuit: {exc}", file=sys.stderr)
         return 3
-    except (NoTouchError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (NoTouchError, ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -122,7 +122,7 @@ def apply_gate(
 def post_select(state: FockState, pairs: Sequence[Pair]) -> Tuple[FockState, float]:
     """Project onto one particle per pair; returns the kept part and its weight.
 
-    The pairs must be disjoint pairs of two distinct modes (``ValueError``
+    The pairs must be disjoint pairs of two distinct modes (``PatternMismatch``
     otherwise).  Kept terms stay in the state's insertion order.
     """
     accepted = _acceptance_rule(pairs)
@@ -170,49 +170,50 @@ def run_distinguishable(c: Circuit) -> RunOutput:
     return _run(c, None)
 
 
+def _register(state: FockState, pairs: Sequence[Pair]):
+    """Each term as ``(bits, labels, amplitude)``, bit k 1 on pair k's second
+    mode; ``PatternMismatch`` for malformed pairs or a term that misses them."""
+    fits = _acceptance_rule(pairs)
+    for modes, labels, amp in state.items():
+        if not fits(modes):
+            raise PatternMismatch(f"term {modes} does not match the rail pairs {pairs}")
+        yield tuple(int(second in modes) for _, second in pairs), labels, amp
+
+
 def extract_dual_rail(accepted: FockState, pairs: Sequence[Pair]) -> QubitState:
     """Read the dual-rail qubit register out of a post-selected state.
 
     The particle in pair ``k`` sitting on the pair's first mode encodes bit
     0, on the second mode bit 1; amplitudes are taken from the canonical
-    ascending-mode form, so all exchange phases are already folded in.
+    ascending-mode form, so all exchange phases are already folded in.  A
+    labelled term, or a pair or term off the layout, raises ``PatternMismatch``.
     """
     if accepted.is_empty():
         raise ZeroState("no accepted terms to extract a qubit state from")
-    fits = _acceptance_rule(pairs)
-    k = len(pairs)
-    vec = np.zeros(2**k, dtype=complex)
-    for modes, species, amp in accepted.items():
-        if species is not None:
+    vec = np.zeros((2,) * len(pairs), dtype=complex)  # qubit 1 on the first axis
+    for bits, labels, amp in _register(accepted, pairs):
+        if labels is not None:
             raise PatternMismatch(
                 "labelled (distinguishable) terms do not form a coherent qubit state"
             )
-        if not fits(modes):
-            raise PatternMismatch(f"term {modes} does not match the rail pairs {pairs}")
-        idx = 0
-        for pair in pairs:
-            idx = (idx << 1) | (0 if pair[0] in modes else 1)
-        vec[idx] += amp
+        vec[bits] += amp
     total = np.linalg.norm(vec)
     if total == 0.0:
         raise ZeroState("accepted terms cancel to the zero vector")
-    return QubitState(k, vec / total)
+    return QubitState(len(pairs), vec.reshape(-1) / total)
 
 
 def computational_distribution(out: RunOutput, pairs: Sequence[Pair]) -> dict:
     """Probabilities of the rail-detection bit patterns, labels ignored.
 
-    This is what ideal detectors on the rails record; it coincides for
-    indistinguishable and distinguishable runs of the same circuit.  A term
-    without one particle per pair raises ``PatternMismatch``.
+    This is what ideal detectors on the rails record.  A distinguishable run
+    gives the same as an indistinguishable one only when one assignment of
+    particles to final modes reaches each accepted pattern.  A term without
+    one particle per pair raises ``PatternMismatch``.
     """
     if out.probability <= 0:
         return {}
-    fits = _acceptance_rule(pairs)
     dist: dict = {}
-    for modes, _species, amp in out.accepted.items():
-        if not fits(modes):
-            raise PatternMismatch(f"term {modes} does not match the rail pairs {pairs}")
-        bits = tuple(0 if pair[0] in modes else 1 for pair in pairs)
+    for bits, _labels, amp in _register(out.accepted, pairs):
         dist[bits] = dist.get(bits, 0.0) + abs(amp) ** 2 / out.probability
     return dist

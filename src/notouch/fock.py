@@ -58,11 +58,6 @@ class Statistics:
         if self.kind == "anyon" and not cmath.isfinite(complex(self.theta)):
             raise ValueError("anyon exchange angle must be finite")
 
-    @property
-    def exchange_phase(self) -> complex:
-        """Phase acquired when two creation operators on distinct modes swap."""
-        return self.reorder_phase(1)
-
     def reorder_phase(self, inversions: int) -> complex:
         """Phase for a reordering with the given number of inversions."""
         if self.kind == "boson":
@@ -180,18 +175,9 @@ class FockState:
         self.escaped = float(escaped)
 
     @classmethod
-    def single(
-        cls,
-        num_modes: int,
-        modes: Sequence[int],
-        amplitude: complex = 1.0,
-        species: Optional[Sequence[int]] = None,
-    ) -> "FockState":
-        """State with one occupied pattern."""
-        key = (tuple(sorted(modes)), None)
-        if species is not None:  # labels travel with their modes
-            key = canonicalize_labeled(modes, species)
-        return cls(num_modes, {key: complex(amplitude)})
+    def single(cls, num_modes: int, modes: Sequence[int]) -> "FockState":
+        """State with one occupied pattern, amplitude 1."""
+        return cls(num_modes, {(tuple(sorted(modes)), None): 1.0})
 
     def items(self) -> Iterator[Tuple[Modes, Species, complex]]:
         for (modes, species), amp in self._terms.items():
@@ -210,13 +196,6 @@ class FockState:
 
     def is_empty(self) -> bool:
         return not self._terms
-
-    def scaled(self, factor: complex) -> "FockState":
-        return FockState(
-            self.num_modes,
-            {k: v * factor for k, v in self._terms.items()},
-            escaped=self.escaped * abs(factor) ** 2,
-        )
 
     def __repr__(self) -> str:  # debugging aid
         parts = []

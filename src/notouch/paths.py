@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .circuit import Circuit, LocalUnitary
-from .errors import TooManyHistories
+from .errors import PatternMismatch, TooManyHistories
 from .fock import Statistics, canonicalize, canonicalize_labeled
 
 STAGE_BOUNDARIES = ("injection", "input", "permutation", "output")
@@ -82,12 +82,12 @@ class TouchReport:
 
 def _acceptance_rule(pairs: Sequence[Pair]) -> Callable[[Iterable[int]], bool]:
     """Post-selection test: one particle in each pair and none outside them
-    (a repeated mode counts twice).  ``ValueError`` unless the pairs are
+    (a repeated mode counts twice).  ``PatternMismatch`` unless the pairs are
     disjoint pairs of two distinct modes."""
     bit_of: dict = {}
     for index, pair in enumerate(pairs):
         if len(pair) != 2 or pair[0] == pair[1] or not bit_of.keys().isdisjoint(pair):
-            raise ValueError("target pairs must be disjoint pairs of two distinct modes")
+            raise PatternMismatch("target pairs must be disjoint pairs of two distinct modes")
         bit_of[pair[0]] = bit_of[pair[1]] = 1 << index
     full = (1 << len(pairs)) - 1
 

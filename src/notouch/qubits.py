@@ -27,12 +27,3 @@ class QubitState:
                 f"expected {2**self.num_qubits} amplitudes, got {amps.shape}"
             )
         object.__setattr__(self, "amplitudes", amps)
-
-    def amplitude(self, bits) -> complex:
-        """Amplitude of the basis state given by a bit sequence (qubit 1 first)."""
-        if len(bits) != self.num_qubits:
-            raise DimensionMismatch("bit string length must equal qubit count")
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | int(b)
-        return complex(self.amplitudes[idx])

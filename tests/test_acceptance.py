@@ -4,6 +4,9 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Tolerances are fixed here, not configurable.
 """
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -217,3 +220,12 @@ def test_criterion_11_property_suite():
         for modes, _, _ in out_d.pre_selection.items():
             assert len(modes) == k
     _passed(11, "norm/particle conservation per gate; accepted + rejected = 1")
+
+
+def test_readme_python_example_runs_as_documented():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (block,) = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    namespace: dict = {}
+    exec(block, namespace)
+    assert abs(namespace["out"].probability - 0.15) <= 1e-12
+    assert abs(namespace["s"] - 2 * np.sqrt(2)) <= 1e-12

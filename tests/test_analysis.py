@@ -32,7 +32,7 @@ from notouch.engine import (
     run_distinguishable,
 )
 from notouch.errors import DimensionMismatch, PatternMismatch, ZeroProbability
-from notouch.fock import BOSON, FERMION, anyon, norm
+from notouch.fock import BOSON, FERMION, FockState, anyon, norm
 from notouch.qubits import QubitState
 
 PAIRS = bell_circuit().target_pairs
@@ -288,7 +288,8 @@ def test_three_tangle_local_unitary_invariance():
 
 def _scalar_correlation(out, thetas, pairs):
     """Rotate every pair with the Fock engine, re-post-select and average."""
-    state = out.accepted.scaled(1.0 / norm(out.accepted))
+    n, f = out.accepted.num_modes, 1.0 / norm(out.accepted)
+    state = FockState(n, {k: f * v for k, v in out.accepted.term_dict().items()})
     for theta, pair in zip(thetas, pairs):
         gate = LocalUnitary(tuple(pair), MeasurementSetting(theta).matrix)
         state = apply_gate(state, gate, out.statistics)
@@ -517,3 +518,15 @@ def test_evaluator_marginal_on_a_subset_of_pairs():
     pairs = ghz_circuit().target_pairs[:2]
     for t1, t2 in ((0.3, 1.2), (2.0, 5.1)):
         assert abs(correlation(out, (t1, t2), pairs) - np.cos(t1) * np.cos(t2)) < 1e-12
+
+
+@pytest.mark.parametrize("pairs", [[(1, 2, 3), (4,)], [(1,), (2, 3, 4)], [(1, 1), (3, 4)]])
+def test_malformed_rail_pairs_raise_pattern_mismatch(pairs):
+    out = run(bell_circuit(), BOSON)
+    message = "disjoint pairs of two distinct modes"
+    with pytest.raises(PatternMismatch, match=message):
+        correlation(out, [0.1, 0.2], pairs)
+    with pytest.raises(PatternMismatch, match=message):
+        correlation_table(out, [0.1, 0.2], [0.3], pairs)
+    with pytest.raises(PatternMismatch, match=message):
+        chsh_grid_max(out, pairs, resolution_deg=90.0)

@@ -417,3 +417,16 @@ def test_malformed_circuit_file_is_an_input_error(tmp_path, capsys, corrupt, com
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_out_of_memory_is_an_input_error(capsys, monkeypatch):
+    # a 100000 x 100000 angle table asks numpy for about 149 GiB
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 149. GiB for an array with shape (100000, 100000)")
+
+    monkeypatch.setattr("notouch.cli.correlation_table", exhausted)
+    argv = ["correlate", "--protocol", "bell", "--statistics", "boson"]
+    code, out, err = run_cli(capsys, *argv, "--theta1", "0:1:100000", "--theta2", "0:1:100000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -1,11 +1,13 @@
 import importlib
 import importlib.util
+import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from notouch.circuit import (
+    Circuit,
     bell_circuit,
     ghz_circuit,
     hadamard_gate,
@@ -32,6 +34,15 @@ from dataclasses import replace
 
 S2 = np.sqrt(2.0)
 ALL_STATS = (BOSON, FERMION, anyon(0.7))
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _module_at(path: Path, name: str):
+    """Import a source file that is not on the import path."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_inject_examples():
@@ -194,9 +205,7 @@ def test_extract_dual_rail_errors():
     with pytest.raises(PatternMismatch):
         extract_dual_rail(FockState.single(4, [1, 2]), ((1, 2), (3, 4)))
     with pytest.raises(PatternMismatch):
-        extract_dual_rail(
-            FockState.single(4, [1, 3], species=[1, 2]), ((1, 2), (3, 4))
-        )
+        extract_dual_rail(FockState(4, {((1, 3), (1, 2)): 1.0}), ((1, 2), (3, 4)))
 
 
 def test_run_distinguishable_bell():
@@ -214,6 +223,30 @@ def test_distinguishable_matches_indistinguishable_in_computational_basis():
     assert set(d_ind) == set(d_dis)
     for key in d_ind:
         assert abs(d_ind[key] - d_dis[key]) < 1e-12
+
+
+@pytest.mark.parametrize("stat", ALL_STATS + (anyon(2.1),))
+def test_both_register_readouts_give_the_same_probabilities(stat):
+    differential = _module_at(ROOT / "tests" / "test_differential.py", "differential")
+    no_particles = Circuit(
+        num_modes=1,
+        input_subsystems=(),
+        injections=(),
+        input_stage=(),
+        permutation=permutation_from_one_line([1]),
+        output_stage=(),
+        output_subsystems=(),
+        target_pairs=(),
+    )
+    circuits = [bell_circuit(), ghz_circuit(), w_circuit(), no_particles]
+    circuits += [differential.paired_circuit(np.random.default_rng(s)) for s in range(2000, 2024)]
+    for c in circuits:
+        out = run(c, stat)
+        amplitudes = extract_dual_rail(out.accepted, c.target_pairs).amplitudes
+        dist = computational_distribution(out, c.target_pairs)
+        registers = itertools.product((0, 1), repeat=len(c.target_pairs))
+        for idx, bits in enumerate(registers):
+            assert abs(abs(amplitudes[idx]) ** 2 - dist.get(bits, 0)) <= 1e-12, (c, bits)
 
 
 def test_computational_distribution_rejects_terms_off_the_pairs():
@@ -285,10 +318,7 @@ def test_collision_raise_mode():
 def test_every_traced_layer_name_exists():
     # the benchmark's tracer looks up each LAYERS name in its notouch module
     # and fails the traced run on a missing one
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _module_at(ROOT / "perfbench" / "tracing.py", "perfbench_tracing")
     for layer, names in tracing.LAYERS.items():
         module = importlib.import_module(f"notouch.{layer}")
         assert [name for name in names if not hasattr(module, name)] == [], layer
