@@ -63,7 +63,6 @@ from .fock import (
     Statistics,
     anyon,
     canonicalize,
-    inner_product,
     norm,
 )
 from .paths import (
@@ -114,7 +113,6 @@ __all__ = [
     "hadamard_gate",
     "hom_circuit",
     "inject",
-    "inner_product",
     "load_circuit",
     "norm",
     "permutation_from_one_line",

@@ -64,10 +64,10 @@ class CorrelationEvaluator:
     """
 
     def __init__(self, out: RunOutput, pairs: Sequence[Pair]):
-        if out.probability <= 0.0:
-            raise ZeroProbability("cannot correlate an impossible run")
         pairs = [tuple(pair) for pair in pairs]
         _acceptance_rule(pairs)  # PatternMismatch unless disjoint pairs of two modes
+        if out.probability <= 0.0:
+            raise ZeroProbability("cannot correlate an impossible run")
         k = self.num_pairs = len(pairs)
         # canonical key -> (outcome, amplitude per column), where the column's
         # bits say which factor each pair contributes: 0 for cos(theta/2),
@@ -125,15 +125,14 @@ class CorrelationEvaluator:
         return surface[0] / surface[1]
 
 
-def correlation(out: RunOutput, settings: Sequence, pairs: Sequence[Pair]) -> float:
-    """Expectation of the product of rail outcomes at the given settings.
+def correlation(out: RunOutput, settings: Sequence[float], pairs: Sequence[Pair]) -> float:
+    """Expectation of the product of rail outcomes at one angle per pair.
 
     Every pair must hold exactly one particle in every accepted term
     (``PatternMismatch`` otherwise); particles outside ``pairs`` are traced
     out.  For many settings, build a ``CorrelationEvaluator`` once instead.
     """
-    thetas = [getattr(setting, "theta", setting) for setting in settings]
-    return float(CorrelationEvaluator(out, pairs)(*thetas))
+    return float(CorrelationEvaluator(out, pairs)(*settings))
 
 
 def correlation_table(

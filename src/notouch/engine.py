@@ -186,10 +186,9 @@ def extract_dual_rail(accepted: FockState, pairs: Sequence[Pair]) -> QubitState:
     The particle in pair ``k`` sitting on the pair's first mode encodes bit
     0, on the second mode bit 1; amplitudes are taken from the canonical
     ascending-mode form, so all exchange phases are already folded in.  A
-    labelled term, or a pair or term off the layout, raises ``PatternMismatch``.
+    labelled term, or a pair or term off the layout, raises ``PatternMismatch``;
+    a register that is empty or cancels to zero raises ``ZeroState``.
     """
-    if accepted.is_empty():
-        raise ZeroState("no accepted terms to extract a qubit state from")
     vec = np.zeros((2,) * len(pairs), dtype=complex)  # qubit 1 on the first axis
     for bits, labels, amp in _register(accepted, pairs):
         if labels is not None:
@@ -199,7 +198,7 @@ def extract_dual_rail(accepted: FockState, pairs: Sequence[Pair]) -> QubitState:
         vec[bits] += amp
     total = np.linalg.norm(vec)
     if total == 0.0:
-        raise ZeroState("accepted terms cancel to the zero vector")
+        raise ZeroState("accepted terms sum to the zero vector")
     return QubitState(len(pairs), vec.reshape(-1) / total)
 
 
@@ -211,8 +210,6 @@ def computational_distribution(out: RunOutput, pairs: Sequence[Pair]) -> dict:
     particles to final modes reaches each accepted pattern.  A term without
     one particle per pair raises ``PatternMismatch``.
     """
-    if out.probability <= 0:
-        return {}
     dist: dict = {}
     for bits, _labels, amp in _register(out.accepted, pairs):
         dist[bits] = dist.get(bits, 0.0) + abs(amp) ** 2 / out.probability

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
@@ -55,8 +57,10 @@ class Statistics:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown statistics kind {self.kind!r}")
-        if self.kind == "anyon" and not cmath.isfinite(complex(self.theta)):
-            raise ValueError("anyon exchange angle must be finite")
+        if self.kind == "anyon" and not (
+            isinstance(self.theta, numbers.Real) and math.isfinite(self.theta)
+        ):
+            raise ValueError(f"anyon exchange angle must be a finite real, got {self.theta!r}")
 
     def reorder_phase(self, inversions: int) -> complex:
         """Phase for a reordering with the given number of inversions."""
@@ -116,23 +120,6 @@ def canonicalize(raw_modes: Sequence[int], statistics: Statistics) -> Tuple[Mode
     return tuple(sorted(raw_modes)), statistics.reorder_phase(inv)
 
 
-def canonicalize_labeled(
-    raw_modes: Sequence[int], species: Sequence[int]
-) -> Tuple[Modes, Tuple[int, ...]]:
-    """Sort a labelled (distinguishable-particle) sequence by mode.
-
-    Labels travel with their modes and no exchange phase is applied: the
-    labels identify the particles, so reordering the bookkeeping is not a
-    physical exchange.
-    """
-    if len(raw_modes) != len(species):
-        raise DimensionMismatch("species labels must align with modes")
-    if len(set(raw_modes)) != len(raw_modes):
-        raise DuplicateMode(f"repeated mode index in {tuple(raw_modes)}")
-    pairs = sorted(zip(raw_modes, species))
-    return tuple(m for m, _ in pairs), tuple(s for _, s in pairs)
-
-
 class FockState:
     """Sparse superposition of single-occupancy patterns.
 
@@ -140,8 +127,8 @@ class FockState:
     ``modes`` is strictly increasing and ``species`` is ``None`` for
     indistinguishable particles.  The ``escaped`` attribute records squared
     norm that left the single-occupancy sector during engine evolution (e.g.
-    two bosons bunching into one mode); it is bookkeeping only and does not
-    participate in inner products.
+    two bosons bunching into one mode); it is bookkeeping only and ``norm``
+    leaves it out.
     """
 
     __slots__ = ("num_modes", "_terms", "escaped")
@@ -187,15 +174,9 @@ class FockState:
         key = (tuple(modes), tuple(species) if species is not None else None)
         return self._terms.get(key, 0.0 + 0.0j)
 
-    def term_dict(self) -> dict[TermKey, complex]:
-        return dict(self._terms)
-
     @property
     def num_terms(self) -> int:
         return len(self._terms)
-
-    def is_empty(self) -> bool:
-        return not self._terms
 
     def __repr__(self) -> str:  # debugging aid
         parts = []
@@ -204,24 +185,6 @@ class FockState:
             parts.append(f"{tag}: {amp:.6g}")
         extra = f", escaped={self.escaped:.3g}" if self.escaped else ""
         return f"FockState({self.num_modes} modes, {{{', '.join(parts)}}}{extra})"
-
-
-def inner_product(a: FockState, b: FockState) -> complex:
-    """Hermitian inner product, conjugate-linear in the first argument.
-
-    Terms with different ``(modes, species)`` keys are orthogonal.
-    """
-    if a.num_modes != b.num_modes:
-        raise DimensionMismatch(
-            f"states live on {a.num_modes} vs {b.num_modes} modes"
-        )
-    total = 0.0 + 0.0j
-    b_terms = b.term_dict()
-    for key, amp in a.term_dict().items():
-        other = b_terms.get(key)
-        if other is not None:
-            total += amp.conjugate() * other
-    return total
 
 
 def norm(a: FockState) -> float:

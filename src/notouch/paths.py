@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .circuit import Circuit, LocalUnitary
 from .errors import PatternMismatch, TooManyHistories
-from .fock import Statistics, canonicalize, canonicalize_labeled
+from .fock import Statistics, canonicalize
 
 STAGE_BOUNDARIES = ("injection", "input", "permutation", "output")
 
@@ -113,7 +113,8 @@ def _canonical(raw_modes, species, statistics: Optional[Statistics]):
     """Canonical key and phase of raw modes in creation-operator order; labels
     (``species`` aligned with ``raw_modes``) travel along and pay no phase."""
     if species is not None:
-        return canonicalize_labeled(raw_modes, species), 1.0 + 0.0j
+        ordered = sorted(zip(raw_modes, species))
+        return (tuple(m for m, _ in ordered), tuple(s for _, s in ordered)), 1.0 + 0.0j
     if statistics is None:
         raise ValueError("statistics required for unlabelled terms")
     modes, phase = canonicalize(raw_modes, statistics)

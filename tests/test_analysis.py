@@ -19,6 +19,7 @@ from notouch.circuit import (
     bell_circuit,
     ghz_circuit,
     hadamard_gate,
+    hom_circuit,
     permutation_from_one_line,
     synthesize_two_qubit,
     w_circuit,
@@ -31,7 +32,7 @@ from notouch.engine import (
     run,
     run_distinguishable,
 )
-from notouch.errors import DimensionMismatch, PatternMismatch, ZeroProbability
+from notouch.errors import DimensionMismatch, PatternMismatch, ZeroProbability, ZeroState
 from notouch.fock import BOSON, FERMION, FockState, anyon, norm
 from notouch.qubits import QubitState
 
@@ -54,12 +55,6 @@ def test_bell_correlations_match_closed_forms(t1, t2):
     assert abs(correlation(out_b, (t1, t2), PAIRS) - np.cos(t1 - t2)) < 1e-9
     assert abs(correlation(out_f, (t1, t2), PAIRS) - np.cos(t1 + t2)) < 1e-9
     assert abs(correlation(out_d, (t1, t2), PAIRS) - np.cos(t1) * np.cos(t2)) < 1e-9
-
-
-def test_correlation_accepts_setting_objects():
-    out = run(bell_circuit(), BOSON)
-    value = correlation(out, (MeasurementSetting(0.3), MeasurementSetting(1.0)), PAIRS)
-    assert abs(value - np.cos(0.7)) < 1e-9
 
 
 def test_correlation_is_bounded_and_phase_invariant():
@@ -289,7 +284,7 @@ def test_three_tangle_local_unitary_invariance():
 def _scalar_correlation(out, thetas, pairs):
     """Rotate every pair with the Fock engine, re-post-select and average."""
     n, f = out.accepted.num_modes, 1.0 / norm(out.accepted)
-    state = FockState(n, {k: f * v for k, v in out.accepted.term_dict().items()})
+    state = FockState(n, {(m, s): f * a for m, s, a in out.accepted.items()})
     for theta, pair in zip(thetas, pairs):
         gate = LocalUnitary(tuple(pair), MeasurementSetting(theta).matrix)
         state = apply_gate(state, gate, out.statistics)
@@ -530,3 +525,22 @@ def test_malformed_rail_pairs_raise_pattern_mismatch(pairs):
         correlation_table(out, [0.1, 0.2], [0.3], pairs)
     with pytest.raises(PatternMismatch, match=message):
         chsh_grid_max(out, pairs, resolution_deg=90.0)
+
+
+def test_rail_pairs_are_checked_before_a_run_that_accepts_nothing():
+    hom = hom_circuit()
+    out = run(hom, BOSON)  # bosons bunch, so post-selection accepts nothing
+    assert out.probability == 0 and out.accepted.num_terms == 0
+    message = "disjoint pairs of two distinct modes"
+    with pytest.raises(PatternMismatch, match=message):
+        computational_distribution(out, [(1, 1)])
+    with pytest.raises(PatternMismatch, match=message):
+        extract_dual_rail(out.accepted, [(1, 1)])
+    with pytest.raises(PatternMismatch, match=message):
+        correlation(out, [0.1], [(1, 1)])
+    # well-formed pairs still end where they did
+    assert computational_distribution(out, hom.target_pairs) == {}
+    with pytest.raises(ZeroState, match="accepted terms sum to the zero vector"):
+        extract_dual_rail(out.accepted, hom.target_pairs)
+    with pytest.raises(ZeroProbability):
+        correlation(out, [0.1] * len(hom.target_pairs), hom.target_pairs)

@@ -225,7 +225,8 @@ def check_against_oracle(c: Circuit) -> None:
     assert _max_gap(pre_d, oracle_labelled(c), labelled=True) <= TOL
     assert abs(norm(pre_d) ** 2 + pre_d.escaped - 1.0) <= TOL
     flipped_d = run_distinguishable(flipped).pre_selection
-    assert _max_gap(flipped_d, pre_d.term_dict(), labelled=True) <= TOL
+    labelled = {(modes, species): amp for modes, species, amp in pre_d.items()}
+    assert _max_gap(flipped_d, labelled, labelled=True) <= TOL
 
 
 @pytest.mark.parametrize("seed", range(24))

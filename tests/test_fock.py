@@ -3,7 +3,9 @@ import cmath
 import numpy as np
 import pytest
 
-from notouch.errors import DimensionMismatch, DuplicateMode
+from notouch.circuit import Permute
+from notouch.engine import apply_gate
+from notouch.errors import DuplicateMode
 from notouch.fock import (
     BOSON,
     FERMION,
@@ -11,11 +13,10 @@ from notouch.fock import (
     Statistics,
     anyon,
     canonicalize,
-    canonicalize_labeled,
     count_inversions,
-    inner_product,
     norm,
 )
+from notouch.paths import _canonical
 
 
 def test_canonicalize_fermion_single_swap():
@@ -125,38 +126,21 @@ def test_statistics_parse_round_trip():
         Statistics.parse("classical")
 
 
-def test_inner_product_examples():
-    one = FockState.single(2, [1])
-    two = FockState.single(2, [2])
-    assert inner_product(one, one) == 1
-    assert inner_product(one, two) == 0
-    s = 1 / np.sqrt(2)
-    plus = FockState(2, {((1,), None): s, ((2,), None): s})
-    minus = FockState(2, {((1,), None): s, ((2,), None): -s})
-    assert abs(inner_product(plus, minus)) < 1e-12
-
-
-def test_inner_product_is_sesquilinear_and_positive():
-    a = FockState(3, {((1,), None): 0.6j, ((2,), None): 0.8})
-    b = FockState(3, {((1,), None): 0.5, ((3,), None): 0.5})
-    lhs = inner_product(FockState(3, {k: 2j * v for k, v in a.term_dict().items()}), b)
-    assert abs(lhs - (-2j) * inner_product(a, b)) < 1e-12
-    rhs = inner_product(a, FockState(3, {k: 2j * v for k, v in b.term_dict().items()}))
-    assert abs(rhs - 2j * inner_product(a, b)) < 1e-12
-    assert inner_product(a, a).real > 0
-    assert abs(inner_product(a, a).imag) < 1e-15
-
-
-def test_inner_product_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        inner_product(FockState.single(2, [1]), FockState.single(3, [1]))
+@pytest.mark.parametrize("theta", [1j, "0.7", None, float("nan"), float("-inf")])
+def test_anyon_angle_must_be_a_finite_real(theta):
+    with pytest.raises(ValueError, match="finite real"):
+        Statistics("anyon", theta)
+    assert Statistics("anyon", np.float64(0.7)).reorder_phase(1) == cmath.exp(0.7j)
+    assert abs(Statistics("anyon", 2).reorder_phase(1)) == 1
 
 
 def test_labelled_terms_are_orthogonal():
     ab = FockState(4, {((1, 3), (1, 2)): 1.0})
-    ba = FockState(4, {((1, 3), (2, 1)): 1.0})
-    assert inner_product(ab, ba) == 0
-    assert inner_product(ab, ab) == 1
+    assert ab.amplitude([1, 3], [1, 2]) == 1
+    assert ab.amplitude([1, 3], [2, 1]) == 0
+    both = FockState(4, {((1, 3), (1, 2)): 1.0, ((1, 3), (2, 1)): 0.5})
+    assert both.num_terms == 2
+    assert both.amplitude([1, 3], [2, 1]) == 0.5
 
 
 def test_norm_of_single_term():
@@ -180,8 +164,10 @@ def test_state_rejects_bad_terms():
 
 
 def test_canonicalize_labeled_keeps_labels_aligned():
-    modes, species = canonicalize_labeled([4, 1, 3], [7, 8, 9])
+    (modes, species), phase = _canonical([4, 1, 3], [7, 8, 9], FERMION)
     assert modes == (1, 3, 4)
     assert species == (8, 9, 7)
-    with pytest.raises(DuplicateMode):
-        canonicalize_labeled([2, 2], [1, 2])
+    assert phase == 1
+    labelled = FockState(3, {((1, 2), (1, 2)): 1.0})
+    with pytest.raises(DuplicateMode):  # a hand-built Permute that is not a bijection
+        apply_gate(labelled, Permute((2, 2, 3)), None)
