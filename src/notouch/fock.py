@@ -43,7 +43,7 @@ TermKey = Tuple[Modes, Species]
 class Statistics:
     """Particle exchange statistics: boson, fermion or abelian anyon.
 
-    ``theta`` is the anyon exchange angle in radians and is ignored for the
+    ``theta`` is the anyon exchange angle in radians and must be 0 for the
     other kinds.  An anyon with ``theta = 0`` reorders exactly like a boson
     and with ``theta = pi`` exactly like a fermion (on single-occupancy
     states, the only ones represented here).
@@ -57,10 +57,11 @@ class Statistics:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown statistics kind {self.kind!r}")
-        if self.kind == "anyon" and not (
-            isinstance(self.theta, numbers.Real) and math.isfinite(self.theta)
-        ):
+        finite = isinstance(self.theta, numbers.Real) and math.isfinite(self.theta)
+        if self.kind == "anyon" and not finite:
             raise ValueError(f"anyon exchange angle must be a finite real, got {self.theta!r}")
+        if self.kind != "anyon" and self.theta != 0:
+            raise ValueError(f"{self.kind} statistics take no exchange angle, got {self.theta!r}")
 
     def reorder_phase(self, inversions: int) -> complex:
         """Phase for a reordering with the given number of inversions."""

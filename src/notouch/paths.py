@@ -17,11 +17,14 @@ only phase rule: ``engine.run`` folds these histories through it in one pass
 and keeps the accepted ones, and the correlation evaluator folds those with
 the rail rotations appended.
 
-Two particles "touch" when they share a mode at a stage boundary or sit
-inside the same gate's support during a stage.  The verifier certifies that
-no history contributing to a post-selected outcome ever touches; dropping
-post-selection exposes the touching branches that the accepted events never
-contain.
+Two particles "touch" when they share a mode or sit inside one gate.  A
+valid circuit keeps each particle alone in its input subsystem and permutes
+by a bijection, so particles can meet only in the output stage, which is
+what the verifier checks in every history behind a post-selected outcome
+(in every history without post-selection).  With post-selection a valid
+circuit cannot fail: each output gate lies in one output subsystem holding
+one target pair, so two particles meeting there leave a pair with two or a
+particle outside every pair.  The verifier still checks every such history.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ from .circuit import Circuit, LocalUnitary
 from .errors import PatternMismatch, TooManyHistories
 from .fock import Statistics, canonicalize
 
-STAGE_BOUNDARIES = ("injection", "input", "permutation", "output")
-
 DEFAULT_HISTORY_LIMIT = 10**6
 
 Pair = Tuple[int, int]
@@ -47,8 +48,8 @@ Boundaries = Tuple[int, int, int, int]
 class PathHistory:
     """Modes of every particle at each stage boundary, with amplitude.
 
-    ``particle_modes[b][p]`` is the mode of particle ``p`` at boundary ``b``
-    (boundaries ordered as in ``STAGE_BOUNDARIES``).
+    ``particle_modes[b][p]`` is the mode of particle ``p`` after step ``b``:
+    0 injection, 1 input stage, 2 permutation, 3 output stage.
     """
 
     particle_modes: Tuple[Tuple[int, ...], ...]
@@ -190,23 +191,13 @@ def enumerate_histories(
 
 
 def _touch_events(history: PathHistory, c: Circuit) -> List[TouchEvent]:
-    events = []
-    for b, stage in enumerate(STAGE_BOUNDARIES):
-        modes = history.particle_modes[b]
-        shared = {m for m in modes if modes.count(m) > 1}
-        for m in sorted(shared):
-            events.append(TouchEvent(stage, f"mode {m}", history))
-    for stage, boundary, gates in (
-        ("input", 0, c.input_stage),
-        ("output", 2, c.output_stage),
-    ):
-        entering = history.particle_modes[boundary]
-        for gate in gates:
-            inside = [m for m in entering if m in gate.support]
-            if len(inside) > 1:
-                events.append(
-                    TouchEvent(stage, f"gate on modes {gate.support}", history)
-                )
+    """Each final mode two particles share, then each output gate two enter."""
+    entering, finals = history.particle_modes[2], history.particle_modes[3]
+    shared = sorted({m for m in finals if finals.count(m) > 1})
+    events = [TouchEvent("output", f"mode {m}", history) for m in shared]
+    for gate in c.output_stage:
+        if sum(m in gate.support for m in entering) > 1:
+            events.append(TouchEvent("output", f"gate on modes {gate.support}", history))
     return events
 
 
@@ -221,8 +212,9 @@ def verify_no_touching(
 
     Streams the histories ``run`` sums and checks every one with amplitude
     above ``amplitude_tolerance`` whose final pattern survives post-selection
-    (or every such history when ``post_select`` is false) for mode sharing at
-    stage boundaries and for two particles inside one gate.
+    (or every such history when ``post_select`` is false) for two particles
+    in one final mode or one output gate, the only places they can meet.  A
+    valid circuit always passes with post-selection (see the module doc).
     """
     accepted = _acceptance_rule(c.target_pairs)
     counterexamples: List[TouchEvent] = []

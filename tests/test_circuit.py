@@ -171,6 +171,70 @@ def test_validation_flags_bad_injection():
         replace(bell_circuit(), injections=(1, 2))
 
 
+def _bell_document(**changes):
+    doc = circuit_to_dict(bell_circuit())
+    doc.update(changes)
+    return doc
+
+
+EYE2 = np.eye(2)
+VIOLATIONS = {
+    "no_modes": (lambda: replace(bell_circuit(), num_modes=0), "num_modes must be positive"),
+    "subsystem_off_range": (
+        lambda: replace(bell_circuit(), input_subsystems=((1, 2), (3, 5))),
+        "input subsystem 2 uses modes outside 1..4",
+    ),
+    "overlapping_subsystems": (
+        lambda: replace(bell_circuit(), output_subsystems=((1, 2), (2, 3, 4))),
+        "output subsystems overlap at modes [2]",
+    ),
+    "injection_count": (
+        lambda: replace(bell_circuit(), injections=(1,)),
+        "need exactly one injection per input subsystem",
+    ),
+    "not_a_local_unitary": (
+        lambda: replace(bell_circuit(), output_stage=(Permute((2, 1, 3, 4)),)),
+        "output gate Permute(one_line=(2, 1, 3, 4)) is not a local unitary",
+    ),
+    "repeated_support_mode": (
+        lambda: replace(bell_circuit(), input_stage=(LocalUnitary((1, 1), EYE2),)),
+        "input gate support (1, 1) repeats a mode",
+    ),
+    "target_pair_count": (
+        lambda: replace(bell_circuit(), target_pairs=((1, 2),)),
+        "need exactly one target pair per output subsystem",
+    ),
+    "degenerate_pair": (
+        lambda: replace(bell_circuit(), target_pairs=((1, 1), (3, 4))),
+        "target pair 1 must be two distinct modes",
+    ),
+    "file_field_not_a_list": (
+        lambda: circuit_from_dict(_bell_document(injections=1)),
+        "circuit file: injections must be a list",
+    ),
+    "file_gate_without_matrix": (
+        lambda: circuit_from_dict(_bell_document(input_gates=[{"support": [1, 2]}])),
+        "circuit file: each input gate needs 'support' and 'matrix'",
+    ),
+    "file_fractional_num_modes": (
+        lambda: circuit_from_dict(_bell_document(num_modes=4.0)),
+        "circuit file: num_modes must be an integer",
+    ),
+    "one_qubit_synthesis_target": (
+        lambda: synthesize_two_qubit(QubitState(1, np.array([1.0, 0.0])), BOSON),
+        "synthesis target must be a two-qubit state",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VIOLATIONS))
+def test_each_violation_has_its_message(name):
+    build, message = VIOLATIONS[name]
+    with pytest.raises(NoTouchError) as caught:
+        build()
+    assert message in str(caught.value).split("; ")
+
+
 def test_circuit_json_round_trip(tmp_path):
     for builder in (bell_circuit, ghz_circuit, w_circuit):
         circuit = builder()

@@ -295,6 +295,34 @@ def _one_error_line(code, out, err):
     return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+BELL_CORRELATE = ["correlate", "--protocol", "bell", "--statistics", "boson", "--theta2", "0"]
+SYNTHESIZE_BELL = ["synthesize", "--statistics", "boson", "--out", "never.json", "--target"]
+
+
+@pytest.mark.parametrize(
+    "tolerance, argv, message",
+    [
+        ("abc", ["run", "--protocol", "bell", "--statistics", "boson"],
+         "NOTOUCH_TOLERANCE='abc' is not a number"),
+        (None, [*BELL_CORRELATE, "--theta1", "0:1"], "grid '0:1' must be start:stop:count"),
+        (None, [*BELL_CORRELATE, "--theta1", "0:1:0"], "grid count must be positive"),
+        (None, [*SYNTHESIZE_BELL, "0.6,0,0.8"],
+         "target must be four comma-separated complex amplitudes"),
+        (None, [*SYNTHESIZE_BELL, "a,b,c,d"], "cannot parse target amplitudes 'a,b,c,d'"),
+    ],
+)
+def test_bad_arguments_exit_2_with_one_error_line(
+    tmp_path, capsys, monkeypatch, tolerance, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    if tolerance is not None:
+        monkeypatch.setenv("NOTOUCH_TOLERANCE", tolerance)
+    result = run_cli(capsys, *argv)
+    assert _one_error_line(*result)
+    assert result[2] == f"error: {message}\n"
+    assert not (tmp_path / "never.json").exists()
+
+
 @pytest.mark.filterwarnings("error")  # a numpy warning on the way fails the test
 @pytest.mark.parametrize("target", ["nan,0,0,0", "inf,0,0,0", "0.7071,0,0,1-infj"])
 def test_synthesize_rejects_a_non_finite_target(tmp_path, capsys, target):

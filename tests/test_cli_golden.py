@@ -54,6 +54,14 @@ CASES = {
         ["correlate", "--protocol", "bell", "--statistics", "anyon:0.7",
          "--theta1", GRID_7, "--theta2", GRID_7, "--format", "csv"], (), ()
     ),
+    "run_hom_boson": (["run", "--protocol", "file:hom.json", "--statistics", "boson"], (), ()),
+    "run_hom_fermion": (["run", "--protocol", "file:hom.json", "--statistics", "fermion"], (), ()),
+    "verify_w_fermion_accept_all": (
+        ["verify", "--protocol", "w", "--statistics", "fermion", "--accept-all"], (), ()
+    ),
+    "verify_hom_boson_accept_all": (
+        ["verify", "--file", "hom.json", "--statistics", "boson", "--accept-all"], (), ()
+    ),
 }
 for _protocol in ("bell", "ghz", "w"):
     for _stat in ("boson", "anyon:0.7"):

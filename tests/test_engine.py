@@ -24,12 +24,15 @@ from notouch.engine import (
     run,
     run_distinguishable,
 )
+from notouch.analysis import correlation_table
 from notouch.errors import (
+    DimensionMismatch,
     InvalidCircuit,
     PatternMismatch,
     ZeroState,
 )
-from notouch.fock import BOSON, FERMION, FockState, anyon, norm
+from notouch.fock import BOSON, FERMION, FockState, Statistics, anyon, norm
+from notouch.qubits import QubitState
 from dataclasses import replace
 
 S2 = np.sqrt(2.0)
@@ -306,6 +309,38 @@ def test_hom_bunching_by_statistics():
     assert abs(out_f.pre_selection.amplitude([1, 2]) + 1.0) < 1e-12
     assert out_f.pre_selection.escaped < 1e-12
     assert out_f.probability == 0
+
+
+GHZ_PAIRS = ghz_circuit().target_pairs
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Statistics("photon"), ValueError, "unknown statistics kind 'photon'"),
+        (lambda: FockState(0), ValueError, "num_modes must be positive"),
+        (
+            lambda: FockState(3, {((1, 2), (1,)): 1.0}),
+            DimensionMismatch,
+            "species labels must align with modes",
+        ),
+        (lambda: QubitState(2, np.ones(2)), DimensionMismatch, "expected 4 amplitudes"),
+        (
+            lambda: correlation_table(run(ghz_circuit(), BOSON), [0], [0], GHZ_PAIRS),
+            DimensionMismatch,
+            "a correlation table needs exactly two rail pairs",
+        ),
+        (
+            lambda: apply_gate(inject(bell_circuit()), bell_circuit().permutation, None),
+            ValueError,
+            "statistics required for unlabelled terms",
+        ),
+    ],
+)
+def test_library_calls_raise_their_errors(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value).startswith(message)
 
 
 def test_collision_raise_mode():

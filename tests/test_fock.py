@@ -134,6 +134,15 @@ def test_anyon_angle_must_be_a_finite_real(theta):
     assert abs(Statistics("anyon", 2).reorder_phase(1)) == 1
 
 
+@pytest.mark.parametrize("theta", [0.5, -1e-300, float("nan"), float("inf"), "0"])
+@pytest.mark.parametrize("kind", ["boson", "fermion"])
+def test_boson_and_fermion_take_no_exchange_angle(kind, theta):
+    with pytest.raises(ValueError, match=f"{kind} statistics take no exchange angle"):
+        Statistics(kind, theta)
+    assert Statistics("boson") == Statistics("boson", 0) == Statistics.parse("boson") == BOSON
+    assert Statistics("fermion", 0.0) == Statistics.parse("fermion") == FERMION
+
+
 def test_labelled_terms_are_orthogonal():
     ab = FockState(4, {((1, 3), (1, 2)): 1.0})
     assert ab.amplitude([1, 3], [1, 2]) == 1

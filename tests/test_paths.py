@@ -1,6 +1,8 @@
 from collections import Counter
 
+import numpy as np
 import pytest
+from test_differential import paired_circuit, random_circuit
 
 import notouch.paths
 from notouch.circuit import (
@@ -16,6 +18,7 @@ from notouch.engine import apply_gate, inject, run
 from notouch.errors import InvalidCircuit, TooManyHistories
 from notouch.fock import BOSON, FERMION, anyon
 from notouch.paths import (
+    TouchEvent,
     TouchReport,
     _touch_events,
     enumerate_histories,
@@ -124,7 +127,7 @@ def test_ring_verification_streams_the_walk(stat, monkeypatch):
     assert (report.histories_total, report.histories_checked) == (1024, 2)
 
 
-def _filtered_report(circuit, stat, post_select, tolerance):
+def _filtered_report(circuit, stat, post_select, tolerance, touch_events=_touch_events):
     histories = enumerate_histories(circuit, stat)
     pair_modes = {m for pair in circuit.target_pairs for m in pair}
 
@@ -139,7 +142,7 @@ def _filtered_report(circuit, stat, post_select, tolerance):
         for h in histories
         if abs(h.amplitude) > tolerance and (not post_select or accepted(h.final_modes))
     ]
-    events = tuple(ev for h in checked for ev in _touch_events(h, circuit))
+    events = tuple(ev for h in checked for ev in touch_events(h, circuit))
     return TouchReport(not events, events, len(histories), len(checked))
 
 
@@ -153,6 +156,39 @@ def test_verifier_equals_a_filter_over_all_histories(builder, stat, post_select,
         circuit, stat, post_select=post_select, amplitude_tolerance=tolerance
     )
     assert report == _filtered_report(circuit, stat, post_select, tolerance)
+
+
+def _all_stage_touch_events(history, circuit):
+    """The touch rule at every step: a mode shared after injection, the input
+    stage, the permutation or the output stage, then two particles entering
+    one input gate or one output gate."""
+    events = []
+    steps = ("injection", "input", "permutation", "output")
+    for stage, modes in zip(steps, history.particle_modes):
+        for m in sorted({m for m in modes if modes.count(m) > 1}):
+            events.append(TouchEvent(stage, f"mode {m}", history))
+    entering = {"input": history.particle_modes[0], "output": history.particle_modes[2]}
+    for stage, gates in (("input", circuit.input_stage), ("output", circuit.output_stage)):
+        for gate in gates:
+            if len([m for m in entering[stage] if m in gate.support]) > 1:
+                events.append(TouchEvent(stage, f"gate on modes {gate.support}", history))
+    return events
+
+
+@pytest.mark.parametrize("stat", ALL_STATS)
+@pytest.mark.parametrize("make", [random_circuit, paired_circuit])
+def test_output_stage_rule_equals_the_all_stage_rule(make, stat):
+    # a valid circuit keeps particles apart until the output stage, so
+    # checking only that stage finds every event the all-stage rule finds
+    for seed in range(100):
+        circuit = make(np.random.default_rng(seed))
+        for post_select in (True, False):
+            report = verify_no_touching(
+                circuit, stat, post_select=post_select, amplitude_tolerance=0.0
+            )
+            oracle = _filtered_report(circuit, stat, post_select, 0.0, _all_stage_touch_events)
+            assert report == oracle
+            assert report.passed or not post_select
 
 
 @pytest.mark.parametrize("stat", ALL_STATS)
