@@ -4,19 +4,13 @@ Builds and executes staged interferometer circuits that entangle independent
 particles (bosons, fermions or abelian anyons) purely through path
 indistinguishability and post-selection, and mechanically verifies that the
 accepted events never bring two particles together.
+
+Importing the package loads no numpy: the ``analysis`` names load it on first
+use, as do ``synthesize_two_qubit`` and the first ``.matrix`` or ``.amplitudes``.
 """
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    MeasurementSetting,
-    chsh_grid_max,
-    chsh_value,
-    correlation,
-    correlation_table,
-    fidelity,
-    three_tangle,
-)
 from .circuit import (
     Circuit,
     LocalUnitary,
@@ -127,3 +121,10 @@ __all__ = [
     "w_circuit",
     "w_input_unitary",
 ]
+
+
+def __getattr__(name: str):  # the analysis names in __all__, looked up on every use (PEP 562)
+    if name in __all__:
+        from . import analysis
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,20 +11,19 @@ two-qubit target.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence, Tuple, Union
-
-import numpy as np
 
 from .errors import InvalidCircuit, NoTouchError, NotBijective, NotNormalized, SameMode
 from .fock import Statistics
-from .qubits import QubitState
+from .qubits import QubitState, _complex_entries
 
 UNITARY_TOLERANCE = 1e-9
 
-SQRT2 = float(np.sqrt(2.0))
-SQRT5 = float(np.sqrt(5.0))
+SQRT2 = math.sqrt(2.0)
 
 
 def _mode_labels(values, what: str) -> Tuple[int, ...]:
@@ -41,28 +40,37 @@ def _mode_labels(values, what: str) -> Tuple[int, ...]:
 class LocalUnitary:
     """Unitary acting on an ordered tuple of modes.
 
-    Column ``j`` of ``matrix`` gives the expansion of a particle entering the
-    j-th support mode over the support modes, i.e. a creation operator on
-    support mode ``j`` maps to ``sum_l matrix[l, j] *`` (operator on support
-    mode ``l``).
+    Column ``j`` of ``rows`` (Python complex, so gates compare by value) gives
+    the expansion of a particle entering the j-th support mode: its creation
+    operator maps to ``sum_l rows[l][j] *`` (operator on support mode ``l``).
+    ``matrix`` is the same table as an ndarray, built on first read.
     """
 
     support: Tuple[int, ...]
-    matrix: np.ndarray = field(repr=False)
+    rows: Tuple[Tuple[complex, ...], ...] = field(repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "support", _mode_labels(self.support, "gate support"))
-        mat = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "rows", _complex_entries(self.rows))
+
+    @cached_property
+    def matrix(self):
+        import numpy as np
+        return np.array(self.rows, dtype=complex)
 
     def is_unitary(self) -> bool:
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != len(self.support):
+        # np.allclose's rule on the Gram matrix (rtol 1e-5 included); nan, inf compare false
+        rows, n = self.rows, len(self.support)
+        if len(rows) != n or not all(
+            isinstance(r, tuple) and len(r) == n and tuple not in map(type, r) for r in rows
+        ):
             return False
-        # np.allclose's rule (rtol 1e-5 included) without its overhead; nan
-        # and inf entries compare false
-        eye = np.eye(m.shape[0])
-        return bool((np.abs(m.conj().T @ m - eye) <= UNITARY_TOLERANCE + 1e-5 * eye).all())
+        return all(
+            math.hypot(gram.real - (i == j), gram.imag) <= UNITARY_TOLERANCE + 1e-5 * (i == j)
+            for i in range(n)
+            for j in range(n)
+            for gram in [sum((row[i].conjugate() * row[j] for row in rows), 0j)]
+        )
 
 
 @dataclass(frozen=True)
@@ -200,38 +208,37 @@ def hadamard_gate(k: int, l: int) -> LocalUnitary:
     """Balanced two-mode beam splitter on modes ``k`` and ``l``."""
     if k == l:
         raise SameMode(f"two-mode gate needs distinct modes, got {k} twice")
-    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / SQRT2
-    return LocalUnitary((k, l), h)
+    s = 1.0 / SQRT2
+    return LocalUnitary((k, l), ((s, s), (s, -s)))
 
 
-def complete_unitary(first_column: np.ndarray) -> np.ndarray:
-    """Extend a unit column to a unitary by Gram-Schmidt over the standard basis.
+def complete_unitary(first_column) -> Tuple[Tuple[complex, ...], ...]:
+    """Extend a unit column to a unitary (rows) by Gram-Schmidt over the standard basis.
 
     Candidate columns are taken from the standard basis vectors in index
     order; each accepted column is normalized with its first nonzero entry
     made real and positive, so the completion is reproducible and the
     balanced two-mode case reproduces the standard beam-splitter matrix.
     """
-    col = np.asarray(first_column, dtype=complex).reshape(-1)
-    n = col.shape[0]
-    if abs(np.linalg.norm(col) - 1.0) > UNITARY_TOLERANCE:
+    col = [complex(z) for z in first_column]
+    n = len(col)
+    if abs(math.sqrt(sum(abs(z) ** 2 for z in col)) - 1.0) > UNITARY_TOLERANCE:
         raise NotNormalized("first column must be a unit vector")
     columns = [col]
     for idx in range(n):
         if len(columns) == n:
             break
-        cand = np.zeros(n, dtype=complex)
-        cand[idx] = 1.0
+        cand = [complex(i == idx) for i in range(n)]
         for prev in columns:
-            cand = cand - np.vdot(prev, cand) * prev
-        nrm = np.linalg.norm(cand)
+            dot = sum((p.conjugate() * z for p, z in zip(prev, cand)), 0j)
+            cand = [z - dot * p for z, p in zip(cand, prev)]
+        nrm = math.sqrt(sum(abs(z) ** 2 for z in cand))
         if nrm < 1e-9:
             continue
-        cand = cand / nrm
-        lead = cand[np.flatnonzero(np.abs(cand) > 1e-12)[0]]
-        cand = cand * (abs(lead) / lead)
-        columns.append(cand)
-    return np.stack(columns, axis=1)
+        cand = [z * (1.0 / nrm) for z in cand]
+        lead = next(z for z in cand if abs(z) > 1e-12)
+        columns.append([z * (abs(lead) / lead) for z in cand])
+    return tuple(zip(*columns))
 
 
 def w_input_unitary() -> LocalUnitary:
@@ -241,8 +248,8 @@ def w_input_unitary() -> LocalUnitary:
     amplitudes ``(sqrt 2, 1, sqrt 2) / sqrt 5``; the remaining columns are the
     deterministic Gram-Schmidt completion.
     """
-    first = np.array([SQRT2, 1.0, SQRT2], dtype=complex) / SQRT5
-    return LocalUnitary((3, 4, 5), complete_unitary(first))
+    r = 1.0 / math.sqrt(5.0)
+    return LocalUnitary((3, 4, 5), complete_unitary([SQRT2 * r, r, SQRT2 * r]))
 
 
 def _ghz_ring(n: int, input_stage=None, output_stage=()) -> Circuit:
@@ -327,13 +334,13 @@ def synthesize_two_qubit(target: QubitState, statistics: Statistics) -> Circuit:
     input column so the synthesized state matches the target for the given
     statistics.
     """
+    import numpy as np
     if target.num_qubits != 2:
         raise NotNormalized("synthesis target must be a two-qubit state")
-    amps = np.asarray(target.amplitudes, dtype=complex)
-    if abs(np.linalg.norm(amps) - 1.0) > 1e-9:
+    if abs(math.sqrt(sum(abs(z) ** 2 for z in target.values)) - 1.0) > 1e-9:
         raise NotNormalized("synthesis target must be normalized")
 
-    m = amps.reshape(2, 2)
+    m = target.amplitudes.reshape(2, 2)
     u, lam, vh = np.linalg.svd(m)
     # target = sum_k lam[k] * u[:, k] (x) conj(v)[:, k], conj(v) = vh.T
     w1 = u
@@ -380,13 +387,11 @@ def _gate_from_json(g, what: str) -> LocalUnitary:
         raise NoTouchError(
             f"circuit file: {what} on {list(support)} needs a {n}x{n} matrix of [re, im] pairs"
         )
-    matrix = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-    return LocalUnitary(support, matrix)
+    return LocalUnitary(support, [[complex(re, im) for re, im in row] for row in rows])
 
 
 def _gate_to_json(g: LocalUnitary) -> dict:
-    matrix = [[[float(z.real), float(z.imag)] for z in row] for row in g.matrix]
-    return {"support": list(g.support), "matrix": matrix}
+    return {"support": list(g.support), "matrix": [[[z.real, z.imag] for z in r] for r in g.rows]}
 
 
 _CIRCUIT_KEYS = (

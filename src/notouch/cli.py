@@ -19,10 +19,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__
-from .analysis import correlation_table, fidelity
 from .circuit import (
     PROTOCOLS,
     Circuit,
@@ -37,6 +34,13 @@ from .paths import verify_no_touching
 from .qubits import QubitState
 
 DEFAULT_REPORT_TOLERANCE = 1e-9
+
+
+def __getattr__(name: str):  # PEP 562: only correlate and synthesize load analysis and numpy
+    if name in ("correlation_table", "fidelity"):
+        from . import analysis
+        return getattr(analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _report_tolerance() -> float:
@@ -105,7 +109,7 @@ def _run_document(protocol: str, stat: Statistics, tolerance: float) -> dict:
         )
     try:
         qubits = extract_dual_rail(out.accepted, circuit.target_pairs)
-        qubit_amps = [[_sig(z.real), _sig(z.imag)] for z in qubits.amplitudes]
+        qubit_amps = [[_sig(z.real), _sig(z.imag)] for z in qubits.values]
     except ZeroState:
         qubit_amps = []
     return {
@@ -147,7 +151,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     else:
         out = run(circuit, stat)
         stat_label = args.statistics
-    rows = correlation_table(
+    rows = sys.modules[__name__].correlation_table(
         out, _parse_grid(args.theta1), _parse_grid(args.theta2), circuit.target_pairs
     )
     if args.format == "json":
@@ -224,24 +228,23 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         raise NoTouchError(f"cannot parse target amplitudes {args.target!r}") from None
     if not all(cmath.isfinite(amp) for amp in amps):
         raise NoTouchError(f"target amplitudes {args.target!r} must be finite")
-    amps = np.array(amps)
-    total = float(np.linalg.norm(amps))
+    total = math.sqrt(sum(abs(z) ** 2 for z in amps))
     if total < 1e-12:
         raise NoTouchError("target amplitudes are all zero")
     if abs(total - 1.0) > 1e-6:
         print(f"warning: renormalizing target (norm was {total:.6g})", file=sys.stderr)
-    target = QubitState(2, amps / total)
+    target = QubitState(2, [z * (1.0 / total) for z in amps])
     stat = Statistics.parse(args.statistics)
     circuit = synthesize_two_qubit(target, stat)
     save_circuit(circuit, args.out)
     out = run(circuit, stat)
     achieved = extract_dual_rail(out.accepted, circuit.target_pairs)
     doc = {
-        "target": [[_sig(z.real), _sig(z.imag)] for z in target.amplitudes],
+        "target": [[_sig(z.real), _sig(z.imag)] for z in target.values],
         "statistics": str(stat),
         "circuit_file": str(args.out),
         "probability": _sig(out.probability),
-        "fidelity": _sig(fidelity(achieved, target)),
+        "fidelity": _sig(sys.modules[__name__].fidelity(achieved, target)),
         "metadata": _metadata(tolerance),
     }
     print(json.dumps(doc, indent=2))

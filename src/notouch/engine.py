@@ -28,10 +28,9 @@ order of commuting gates, which is why ``run`` does not use it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
-
-import numpy as np
 
 from .circuit import Circuit, Gate, Permute
 from .errors import PatternMismatch, ZeroState
@@ -88,7 +87,6 @@ def apply_gate(
 
     support = gate.support
     support_set = set(support)
-    matrix = gate.matrix
     out = {}
     in_sq = 0.0
     out_sq = 0.0
@@ -103,7 +101,7 @@ def apply_gate(
         for targets in itertools.product(range(len(support)), repeat=len(positions)):
             coeff = amp
             for tgt, src in zip(targets, col_indices):
-                coeff = coeff * matrix[tgt, src]
+                coeff = coeff * gate.rows[tgt][src]
             if coeff == 0:
                 continue
             raw = list(modes)
@@ -177,7 +175,8 @@ def _register(state: FockState, pairs: Sequence[Pair]):
     for modes, labels, amp in state.items():
         if not fits(modes):
             raise PatternMismatch(f"term {modes} does not match the rail pairs {pairs}")
-        yield tuple(int(second in modes) for _, second in pairs), labels, amp
+        occupied = set(modes)
+        yield tuple([1 if second in occupied else 0 for _, second in pairs]), labels, amp
 
 
 def extract_dual_rail(accepted: FockState, pairs: Sequence[Pair]) -> QubitState:
@@ -189,17 +188,23 @@ def extract_dual_rail(accepted: FockState, pairs: Sequence[Pair]) -> QubitState:
     labelled term, or a pair or term off the layout, raises ``PatternMismatch``;
     a register that is empty or cancels to zero raises ``ZeroState``.
     """
-    vec = np.zeros((2,) * len(pairs), dtype=complex)  # qubit 1 on the first axis
+    sums: dict = {}  # register index, qubit 1 the most significant bit -> amplitude
     for bits, labels, amp in _register(accepted, pairs):
         if labels is not None:
             raise PatternMismatch(
                 "labelled (distinguishable) terms do not form a coherent qubit state"
             )
-        vec[bits] += amp
-    total = np.linalg.norm(vec)
+        index = 0
+        for bit in bits:
+            index = 2 * index + bit
+        sums[index] = sums.get(index, 0.0 + 0.0j) + amp
+    total = math.sqrt(sum(abs(z) ** 2 for z in sums.values()))
     if total == 0.0:
         raise ZeroState("accepted terms sum to the zero vector")
-    return QubitState(len(pairs), vec.reshape(-1) / total)
+    vec = [0j] * 2 ** len(pairs)
+    for index, amp in sums.items():
+        vec[index] = amp * (1.0 / total)
+    return QubitState(len(pairs), tuple(vec))
 
 
 def computational_distribution(out: RunOutput, pairs: Sequence[Pair]) -> dict:

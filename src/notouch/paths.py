@@ -87,7 +87,7 @@ def _acceptance_rule(pairs: Sequence[Pair]) -> Callable[[Iterable[int]], bool]:
     disjoint pairs of two distinct modes."""
     bit_of: dict = {}
     for index, pair in enumerate(pairs):
-        if len(pair) != 2 or pair[0] == pair[1] or not bit_of.keys().isdisjoint(pair):
+        if len(pair) != 2 or pair[0] == pair[1] or pair[0] in bit_of or pair[1] in bit_of:
             raise PatternMismatch("target pairs must be disjoint pairs of two distinct modes")
         bit_of[pair[0]] = bit_of[pair[1]] = 1 << index
     full = (1 << len(pairs)) - 1
@@ -128,7 +128,7 @@ def _branches(mode: int, gates: Sequence[LocalUnitary]) -> List[Tuple[int, compl
     for gate in gates:
         if mode in gate.support:
             src = gate.support.index(mode)
-            return [(dest, complex(gate.matrix[i, src])) for i, dest in enumerate(gate.support)]
+            return [(dest, gate.rows[i][src]) for i, dest in enumerate(gate.support)]
     return [(mode, 1.0 + 0.0j)]
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from notouch.circuit import (
+    UNITARY_TOLERANCE,
     LocalUnitary,
     Permute,
     _ghz_ring,
@@ -351,3 +352,113 @@ def test_circuit_from_dict_rejects_malformed_documents():
         circuit_from_dict(bad_pair)
     with pytest.raises(NoTouchError):
         circuit_from_dict([doc])
+
+
+def test_circuits_gates_and_registers_compare_by_value(tmp_path):
+    s = 1 / np.sqrt(2)
+    synthesized = synthesize_two_qubit(QubitState(2, [0.6, 0.0, 0.0, 0.8j]), anyon(0.3))
+    for circuit in (bell_circuit(), ghz_circuit(), w_circuit(), hom_circuit(), synthesized):
+        save_circuit(circuit, tmp_path / "circuit.json")
+        loaded = load_circuit(tmp_path / "circuit.json")
+        assert loaded == circuit and hash(loaded) == hash(circuit)
+    # the ndarray built on first read takes no part in equality or hashing
+    read = hadamard_gate(1, 2)
+    assert read.matrix.shape == (2, 2) and read.matrix.dtype == complex
+    assert read == hadamard_gate(1, 2) and hash(read) == hash(hadamard_gate(1, 2))
+    assert LocalUnitary((1, 2), np.ones(2)).matrix.shape == (2,)
+
+    gate = synthesized.input_stage[0]
+    rows = [list(row) for row in gate.rows]
+    rows[1][1] += 1e-15  # still unitary within tolerance, so the circuit stays valid
+    stage = (LocalUnitary(gate.support, rows),) + synthesized.input_stage[1:]
+    changed = replace(synthesized, input_stage=stage)
+    assert changed != synthesized and changed.input_stage[0] != gate
+
+    bell = QubitState(2, np.array([s, 0, 0, s]))
+    assert bell == QubitState(2, [s, 0, 0, s]) == QubitState(2, (s, 0j, 0.0, s))
+    assert len({bell, QubitState(2, [s, 0, 0, s])}) == 1
+    assert bell != QubitState(2, [s, 0, 0, -s])
+    assert bell.amplitudes.shape == (4,) and bell.amplitudes.dtype == complex
+
+
+def _is_unitary_oracle(support, matrix) -> bool:
+    """The numpy rule ``LocalUnitary.is_unitary`` followed before it ran in
+    pure Python: ``np.allclose``'s test of the Gram matrix against the identity."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != len(support):
+        return False
+    eye = np.eye(m.shape[0])
+    with np.errstate(invalid="ignore", over="ignore"):
+        return bool((np.abs(m.conj().T @ m - eye) <= UNITARY_TOLERANCE + 1e-5 * eye).all())
+
+
+def test_is_unitary_matches_the_numpy_oracle():
+    # the inputs of test_is_unitary_follows_the_allclose_rule, plus larger gates
+    h = hadamard_gate(1, 2).matrix
+    rng = np.random.default_rng(5)
+    cases = []
+    for eps in (0.0, 1e-11, 1e-10, 1e-9, 1e-7, 3e-6, 1e-5, 1e-3):
+        for m in (h * (1 + eps), h + eps * rng.normal(size=(2, 2)), h @ np.diag([1, 1 + eps])):
+            cases.append(((1, 2), m))
+    cases += [((1, 2), h * (1 + 4e-6)), ((1, 2), h * (1 + 1e-5))]
+    for bad in (np.nan, np.inf, -np.inf, 1e200):
+        m = h.copy()
+        m[0, 1] = bad
+        cases.append(((1, 2), m))
+    cases += [
+        ((1, 2), np.eye(3)),
+        ((1, 2), np.ones((2, 3)) / 2),
+        ((1, 2), np.ones(2)),
+        ((1, 2), np.ones((2, 2, 2))),
+        ((3,), np.array([[np.exp(0.3j)]])),
+    ]
+    for size in (3, 4):
+        q, _ = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+        support = tuple(range(1, size + 1))
+        cases += [(support, q), (support, q * (1 + 1e-4)), (support, [list(r) for r in q])]
+    verdicts = [_is_unitary_oracle(support, m) for support, m in cases]
+    assert [LocalUnitary(support, m).is_unitary() for support, m in cases] == verdicts
+    assert True in verdicts and False in verdicts
+
+
+def _complete_unitary_oracle(first_column):
+    """The numpy Gram-Schmidt ``complete_unitary`` ran before it moved to pure Python."""
+    col = np.asarray(first_column, dtype=complex).reshape(-1)
+    n = col.shape[0]
+    if abs(np.linalg.norm(col) - 1.0) > UNITARY_TOLERANCE:
+        raise NotNormalized("first column must be a unit vector")
+    columns = [col]
+    for idx in range(n):
+        if len(columns) == n:
+            break
+        cand = np.zeros(n, dtype=complex)
+        cand[idx] = 1.0
+        for prev in columns:
+            cand = cand - np.vdot(prev, cand) * prev
+        nrm = np.linalg.norm(cand)
+        if nrm < 1e-9:
+            continue
+        cand = cand / nrm
+        lead = cand[np.flatnonzero(np.abs(cand) > 1e-12)[0]]
+        cand = cand * (abs(lead) / lead)
+        columns.append(cand)
+    return np.stack(columns, axis=1)
+
+
+def test_complete_unitary_matches_the_numpy_oracle():
+    rng = np.random.default_rng(16)
+    columns = [[1.0], [1j], [0, 1], [0, 0, 1j], [0, 1, 0, 0], [0.6j, 0, 0, 0.8]]
+    for size in range(1, 5):
+        for trial in range(25):
+            v = rng.normal(size=size) + 1j * rng.normal(size=size)  # complex leading entry
+            if size > 1 and trial % 2:
+                v[rng.choice(size, rng.integers(1, size), replace=False)] = 0  # exact zeros
+            columns.append(v / np.linalg.norm(v))
+    for col in columns:
+        got = np.array(complete_unitary(col))
+        assert np.allclose(got, _complete_unitary_oracle(col), rtol=0, atol=1e-12), col
+    for bad in ([1.0, 1.0], [0.5, 0.5, 0.5], [0, 0, 0, 0]):
+        with pytest.raises(NotNormalized):
+            _complete_unitary_oracle(bad)
+        with pytest.raises(NotNormalized):
+            complete_unitary(bad)

@@ -357,3 +357,25 @@ def test_every_traced_layer_name_exists():
     for layer, names in tracing.LAYERS.items():
         module = importlib.import_module(f"notouch.{layer}")
         assert [name for name in names if not hasattr(module, name)] == [], layer
+
+
+def test_tracer_records_the_lazily_resolved_analysis_names():
+    # the package looks the analysis names up in notouch.analysis on every use,
+    # so the tracer's rebinding there is what notouch.correlation_table returns
+    import notouch
+    import notouch.analysis
+
+    tracing = _module_at(ROOT / "perfbench" / "tracing.py", "perfbench_tracing")
+    original = notouch.analysis.correlation_table
+    c = bell_circuit()
+    out = run(c, BOSON)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        notouch.correlation_table(out, [0.0, 1.0], [0.5], c.target_pairs)
+        notouch.chsh_grid_max(out, c.target_pairs, 30.0)
+    finally:
+        tracer.uninstall()
+    recorded = {tracer.labels[i] for i in tracer.label}
+    assert {"analysis.correlation_table", "analysis.chsh_grid_max"} <= recorded
+    assert notouch.correlation_table is original
