@@ -5,17 +5,17 @@ input subsystem, apply the input-stage local unitaries, relabel modes by the
 permutation, apply the output-stage local unitaries, then post-select on one
 particle per target rail pair.
 
-``run`` and ``run_distinguishable`` fold the history records ``(boundaries,
-finals, amplitude)`` of ``paths`` in one pass and read only ``finals`` and
-``amplitude``: each history whose final modes are distinct adds its
+``run`` and ``run_distinguishable`` fold the depth-first history walk of
+``paths`` in one pass: each history whose final modes are distinct adds its
 amplitude to its canonical final pattern; those post-selection accepts also
 fill ``accepted`` and ``RunOutput.histories``, which ``analysis`` folds with
-the rail rotations appended.  ``paths._canonical`` pays every phase once from
-the raw final modes in ascending injection order.  Histories with two
-particles in one mode leave the single-occupancy sector and post-selection
-rejects them; their squared weight is the signed ``escaped`` ledger,
-``1 - norm(state)**2``.  For fermions the colliding histories cancel exactly,
-so it is zero only up to rounding.
+the rail rotations appended.  ``run`` takes each phase from a table of
+``reorder_phase`` over the walk's inversion counts; labelled runs key
+histories by ``paths._canonical``.  Histories with two particles in one mode
+leave the single-occupancy sector and post-selection rejects them; their
+squared weight is the signed ``escaped`` ledger, ``1 - norm(state)**2``.
+For fermions the colliding histories cancel exactly, so it is zero only up
+to rounding.
 
 ``inject``, ``apply_gate`` and ``post_select`` are the gate-level test
 reference: each gate expands occupied support modes by their matrix columns,
@@ -132,18 +132,24 @@ def _run(c: Circuit, statistics: Optional[Statistics]) -> RunOutput:
     """Fold the collision-free path histories once: all into the pre-selection
     state, the accepted ones also into ``accepted`` and ``histories``.  With
     ``statistics`` of ``None`` the particles carry ``_injection_labels``."""
-    accept = _acceptance_rule(c.target_pairs)
     species = _injection_labels(c) if statistics is None else None
+    k = len(c.injections)
+    if species is None:  # the phase of each inversion count k particles can have
+        phases = [statistics.reorder_phase(i) for i in range(k * (k - 1) // 2 + 1)]
+    _, walk = _branch_combinations(c)
     terms: dict = {}
     kept: dict = {}
     histories = []
-    for _, finals, amplitude in _branch_combinations(c):
-        if len(set(finals)) != len(finals):
+    for _, finals, amplitude, inversions, selected in walk:
+        if inversions is None:  # two particles in one mode
             continue
-        key, phase = _canonical(finals, species, statistics)
+        if species is None:
+            key, phase = (tuple(sorted(finals)), None), phases[inversions]
+        else:
+            key, phase = _canonical(finals, species, None)
         term = amplitude * phase
         terms[key] = terms.get(key, 0.0 + 0.0j) + term
-        if accept(finals):
+        if selected:
             kept[key] = kept.get(key, 0.0 + 0.0j) + term
             histories.append((finals, species, amplitude))
     state = FockState(c.num_modes, terms)

@@ -4,27 +4,31 @@ A path history assigns every particle a definite mode at each stage
 boundary: after injection, after the input stage, after the permutation and
 after the output stage.  One rule, ``_branches``, moves a particle in both
 stages: in a gate's support it branches once per support mode, with the
-matrix element as amplitude; elsewhere it stays.  Each history streams as
-the record ``(boundaries, finals, amplitude)``, its final modes ready to use.
+matrix element as amplitude; elsewhere it stays.  ``_walk`` visits the
+histories depth-first in ``itertools.product`` order and carries each
+prefix's amplitude, occupied modes, inversions and empty target pairs.
 
 Particles are ordered by ascending injection mode, the creation-operator
 order of the injected state.  A history's amplitude is the product of the
 traversed matrix elements times the statistics phase ``reorder_phase(k)``,
 where ``k`` counts the inversions of the final modes in that particle order;
 the phase is applied once per history, when the final operator product is
-put in canonical (ascending-mode) order.  ``_canonical`` is the package's
-only phase rule: ``engine.run`` folds these histories through it in one pass
-and keeps the accepted ones, and the correlation evaluator folds those with
-the rail rotations appended.
+put in canonical (ascending-mode) order.  ``engine.run`` folds the walk in
+one pass with a phase table over ``k`` and keeps the accepted histories;
+``_canonical`` sorts the raw modes of the verifier's histories, of labelled
+terms and of the correlation evaluator's rotated accepted histories.
 
 Two particles "touch" when they share a mode or sit inside one gate.  A
 valid circuit keeps each particle alone in its input subsystem and permutes
 by a bijection, so particles can meet only in the output stage, which is
 what the verifier checks in every history behind a post-selected outcome
-(in every history without post-selection).  With post-selection a valid
-circuit cannot fail: each output gate lies in one output subsystem holding
-one target pair, so two particles meeting there leave a pair with two or a
-particle outside every pair.  The verifier still checks every such history.
+(in every history without post-selection).  With post-selection the walk
+cuts a prefix as soon as a final mode lands outside every empty target
+pair, so it visits only the accepted sector: 2 of the 2^n histories of the
+n-particle GHZ ring.  With post-selection a valid circuit cannot fail: each
+output gate lies in one output subsystem holding one target pair, so two
+particles meeting there leave a pair with two or a particle outside every
+pair.  The verifier still checks every accepted history.
 """
 
 from __future__ import annotations
@@ -81,27 +85,23 @@ class TouchReport:
         return "pass" if self.passed else "fail"
 
 
-def _acceptance_rule(pairs: Sequence[Pair]) -> Callable[[Iterable[int]], bool]:
-    """Post-selection test: one particle in each pair and none outside them
-    (a repeated mode counts twice).  ``PatternMismatch`` unless the pairs are
-    disjoint pairs of two distinct modes."""
+def _pair_bits(pairs: Sequence[Pair]) -> dict:
+    """Each target mode's bit, ``1 << k`` for pair ``k``; ``PatternMismatch``
+    unless the pairs are disjoint pairs of two distinct modes."""
     bit_of: dict = {}
     for index, pair in enumerate(pairs):
         if len(pair) != 2 or pair[0] == pair[1] or pair[0] in bit_of or pair[1] in bit_of:
             raise PatternMismatch("target pairs must be disjoint pairs of two distinct modes")
         bit_of[pair[0]] = bit_of[pair[1]] = 1 << index
-    full = (1 << len(pairs)) - 1
+    return bit_of
 
-    def accepted(modes: Iterable[int]) -> bool:
-        filled = 0
-        for mode in modes:  # every particle must land in a pair that is still empty
-            bit = bit_of.get(mode, 0)
-            if not bit or filled & bit:
-                return False
-            filled |= bit
-        return filled == full
 
-    return accepted
+def _acceptance_rule(pairs: Sequence[Pair]) -> Callable[[Iterable[int]], bool]:
+    """Post-selection test: one particle in each pair and none outside them
+    (a repeated mode counts twice); the pairs as ``_pair_bits`` takes them."""
+    bit_of = _pair_bits(pairs)
+    bits = [1 << index for index in range(len(pairs))]
+    return lambda modes: sorted(bit_of.get(mode, 0) for mode in modes) == bits
 
 
 def _injection_labels(c: Circuit) -> Tuple[int, ...]:
@@ -132,38 +132,59 @@ def _branches(mode: int, gates: Sequence[LocalUnitary]) -> List[Tuple[int, compl
     return [(mode, 1.0 + 0.0j)]
 
 
-def _particle_paths(c: Circuit, injected: int) -> Iterator[Tuple[Boundaries, complex]]:
-    """All branch choices for one particle: boundary modes and amplitude."""
+def _particle_paths(c: Circuit, injected: int, bit_of: dict) -> Iterator[tuple]:
+    """All branch choices for one particle, each as the record ``_walk`` reads."""
     for after_input, amp_in in _branches(injected, c.input_stage):
         after_perm = c.permutation.apply(after_input)
         for dest, amp_out in _branches(after_perm, c.output_stage):
-            yield (injected, after_input, after_perm, dest), amp_in * amp_out
+            modes = (injected, after_input, after_perm, dest)
+            yield (modes,), (dest,), dest, 1 << dest, amp_in * amp_out, bit_of.get(dest, 0)
 
 
-def _branch_combinations(
-    c: Circuit, max_histories: Optional[int] = None
-) -> Iterator[Tuple[Tuple[Boundaries, ...], Tuple[int, ...], complex]]:
-    """Stream every history as ``(boundaries, finals, amplitude)``, particles
-    in ascending injection mode: the product of each particle's boundary
-    modes, final modes and matrix elements, three lists built once per circuit.
+def _branch_combinations(c: Circuit, accepted_only: bool = False, limit: Optional[int] = None):
+    """The number of histories, the product of the particles' branch counts,
+    and the ``_walk`` over them.  ``limit`` bounds the histories of the full
+    walk here; the caller of the cut walk counts the leaves it visits."""
+    bit_of = _pair_bits(c.target_pairs)
+    levels = [list(_particle_paths(c, mode, bit_of)) for mode in sorted(c.injections)]
+    total = math.prod(len(level) for level in levels)
+    if limit is not None and not accepted_only and total > limit:
+        raise TooManyHistories(f"{total} histories exceed the enumeration limit of {limit}")
+    return total, _walk(levels, len(c.target_pairs), accepted_only)
 
-    ``max_histories`` is enforced up front; ``c`` was validated when built.
-    """
-    per_particle = [list(_particle_paths(c, mode)) for mode in sorted(c.injections)]
-    if max_histories is not None:
-        total = math.prod(len(paths) for paths in per_particle)
-        if total > max_histories:
-            raise TooManyHistories(
-                f"{total} histories exceed the enumeration limit of {max_histories}"
-            )
-    boundaries = [[modes for modes, _ in paths] for paths in per_particle]
-    finals = [[modes[3] for modes, _ in paths] for paths in per_particle]
-    amplitudes = [[amp for _, amp in paths] for paths in per_particle]
-    return zip(
-        itertools.product(*boundaries),
-        itertools.product(*finals),
-        map(math.prod, itertools.product(*amplitudes)),
-    )
+
+def _walk(levels, num_pairs: int, accepted_only: bool):
+    """Yield ``(boundaries, finals, amplitude, inversions, accepted)`` per
+    history, depth-first in the order of ``itertools.product(*levels)``.  A
+    prefix carries its amplitude (from ``1``, left to right as ``math.prod``),
+    occupied final modes, inversions and empty target pairs; ``inversions`` is
+    ``None`` when two particles share a final mode.  ``accepted_only`` cuts a
+    prefix once a final mode lands outside every empty target pair."""
+    k = len(levels)
+    if not k:  # no particles: one empty history
+        yield (), (), 1, 0, True
+        return
+    rejected = 1 << num_pairs  # set in ``empty`` once post-selection rejects the prefix
+    stack = [(0, (), (), 1, 0, 0, rejected - 1)]
+    while stack:
+        depth, paths, finals, amplitude, occupied, inversions, empty = stack.pop()
+        if depth < k - 1:  # push the children, last first, so they pop in order
+            for step, final_, final, final_bit, amp, pair_bit in reversed(levels[depth]):
+                if accepted_only and not empty & pair_bit:
+                    continue
+                left = empty ^ pair_bit if empty & pair_bit else empty | rejected
+                inv = inversions + (occupied >> final).bit_count()
+                stack.append((depth + 1, paths + step, finals + final_, amplitude * amp,
+                              occupied | final_bit, inv, left))
+            continue
+        for step, final_, final, final_bit, amp, pair_bit in levels[depth]:  # the leaves
+            if accepted_only and not empty & pair_bit:
+                continue
+            left = empty ^ pair_bit if empty & pair_bit else empty | rejected
+            inv = inversions + (occupied >> final).bit_count()
+            if (occupied | final_bit).bit_count() != k:  # two particles share a mode
+                inv = None
+            yield paths + step, finals + final_, amplitude * amp, inv, not left
 
 
 def _history(paths, finals, amplitude: complex, statistics: Statistics) -> PathHistory:
@@ -178,7 +199,7 @@ def enumerate_histories(
     statistics: Statistics,
     max_histories: int = DEFAULT_HISTORY_LIMIT,
 ) -> List[PathHistory]:
-    """Exhaustive branch assignment for every particle.
+    """Every history, in walk order; ``max_histories`` bounds their number.
 
     Histories whose particles end in the same mode are retained (their
     amplitude carries no exchange phase, since sorting a collision is not
@@ -187,7 +208,8 @@ def enumerate_histories(
     same walk; the colliding ones either cancel or carry the weight outside
     the single-occupancy sector (``escaped``).
     """
-    return [_history(*record, statistics) for record in _branch_combinations(c, max_histories)]
+    _, walk = _branch_combinations(c, limit=max_histories)
+    return [_history(paths, finals, amp, statistics) for paths, finals, amp, _, _ in walk]
 
 
 def _touch_events(history: PathHistory, c: Circuit) -> List[TouchEvent]:
@@ -210,26 +232,23 @@ def verify_no_touching(
 ) -> TouchReport:
     """Certify that accepted outcomes involve no touching histories.
 
-    Streams the histories ``run`` sums and checks every one with amplitude
-    above ``amplitude_tolerance`` whose final pattern survives post-selection
-    (or every such history when ``post_select`` is false) for two particles
-    in one final mode or one output gate, the only places they can meet.  A
-    valid circuit always passes with post-selection (see the module doc).
+    Walks the histories ``run`` sums, only those post-selection accepts when
+    ``post_select`` is true (else all of them), and checks each one with
+    amplitude above ``amplitude_tolerance`` for two particles in one final
+    mode or one output gate, the only places they can meet.  A valid circuit
+    always passes with post-selection (see the module doc).
+    ``histories_total`` is the product of the branch counts either way.
+    ``max_histories`` bounds that product up front without post-selection,
+    and the accepted histories visited with it.
     """
-    accepted = _acceptance_rule(c.target_pairs)
+    total, walk = _branch_combinations(c, post_select, max_histories)
     counterexamples: List[TouchEvent] = []
-    total = checked = 0
-    for paths, finals, amplitude in _branch_combinations(c, max_histories):
-        total += 1
+    checked = 0
+    for visited, (paths, finals, amplitude, _, _) in enumerate(walk, 1):
+        if max_histories is not None and visited > max_histories:  # only the cut walk
+            raise TooManyHistories(f"accepted histories exceed the limit of {max_histories}")
         if abs(amplitude) <= amplitude_tolerance:
-            continue
-        if post_select and not accepted(finals):
             continue
         checked += 1
         counterexamples.extend(_touch_events(_history(paths, finals, amplitude, statistics), c))
-    return TouchReport(
-        passed=not counterexamples,
-        counterexamples=tuple(counterexamples),
-        histories_total=total,
-        histories_checked=checked,
-    )
+    return TouchReport(not counterexamples, tuple(counterexamples), total, checked)

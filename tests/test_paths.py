@@ -212,3 +212,30 @@ def test_a_circuit_without_particles_has_one_empty_history(stat):
     assert (report.histories_total, report.histories_checked) == (1, 1)
     (history,) = enumerate_histories(empty, stat)
     assert history.particle_modes == ((), (), (), ())
+
+
+def test_the_history_limit_counts_the_accepted_histories_visited():
+    report = verify_no_touching(_ghz_ring(20), BOSON)
+    assert report.verdict == "pass"
+    assert (report.histories_total, report.histories_checked) == (2**20, 2)
+    with pytest.raises(TooManyHistories, match="accepted histories exceed the limit of 1"):
+        verify_no_touching(_ghz_ring(20), BOSON, max_histories=1)
+    # the full walk, like enumerate_histories, checks the product before it starts
+    with pytest.raises(TooManyHistories, match="1048576 histories exceed"):
+        verify_no_touching(_ghz_ring(20), BOSON, post_select=False)
+
+
+@pytest.mark.parametrize("stat", ALL_STATS)
+def test_the_cut_verifier_equals_the_all_stage_filter(stat):
+    # post-selected verification walks only the accepted sector; its verdict
+    # and counterexamples equal the all-stage rule over every history
+    circuits = [hom_circuit()] + [
+        make(np.random.default_rng(seed))
+        for make in (random_circuit, paired_circuit)
+        for seed in range(100, 150)
+    ]
+    for circuit in circuits:
+        for tolerance in (0.0, 1e-12):
+            report = verify_no_touching(circuit, stat, amplitude_tolerance=tolerance)
+            oracle = _filtered_report(circuit, stat, True, tolerance, _all_stage_touch_events)
+            assert report == oracle
