@@ -5,30 +5,26 @@ boundary: after injection, after the input stage, after the permutation and
 after the output stage.  One rule, ``_branches``, moves a particle in both
 stages: in a gate's support it branches once per support mode, with the
 matrix element as amplitude; elsewhere it stays.  ``_walk`` visits the
-histories depth-first in ``itertools.product`` order and carries each
-prefix's amplitude, occupied modes, inversions and empty target pairs.
+histories depth-first in ``itertools.product`` order.
 
 Particles are ordered by ascending injection mode, the creation-operator
 order of the injected state.  A history's amplitude is the product of the
 traversed matrix elements times the statistics phase ``reorder_phase(k)``,
-where ``k`` counts the inversions of the final modes in that particle order;
-the phase is applied once per history, when the final operator product is
-put in canonical (ascending-mode) order.  ``engine.run`` folds the walk in
-one pass with a phase table over ``k`` and keeps the accepted histories;
-``_canonical`` sorts the raw modes of the verifier's histories, of labelled
-terms and of the correlation evaluator's rotated accepted histories.
+where ``k`` counts the inversions of the final modes in that particle order,
+paid once when the final operator product is put in ascending-mode order.
+``engine.run`` reads it from a table over the walk's ``k``; ``_canonical``
+sorts the raw modes of labelled terms, verified histories and the correlation
+evaluator's rotated accepted histories.
 
 Two particles "touch" when they share a mode or sit inside one gate.  A
 valid circuit keeps each particle alone in its input subsystem and permutes
-by a bijection, so particles can meet only in the output stage, which is
-what the verifier checks in every history behind a post-selected outcome
-(in every history without post-selection).  With post-selection the walk
-cuts a prefix as soon as a final mode lands outside every empty target
-pair, so it visits only the accepted sector: 2 of the 2^n histories of the
-n-particle GHZ ring.  With post-selection a valid circuit cannot fail: each
-output gate lies in one output subsystem holding one target pair, so two
-particles meeting there leave a pair with two or a particle outside every
-pair.  The verifier still checks every accepted history.
+by a bijection, so particles can meet only in the output stage, which the
+verifier checks in every history (with post-selection, in every accepted
+one: the walk cuts a prefix once a final mode lands outside every empty
+target pair, so on the n-particle GHZ ring it visits 2 of the 2^n).  With
+post-selection a valid circuit cannot fail: each output gate lies in one
+output subsystem holding one target pair, so two particles meeting there
+leave a pair with two or a particle outside every pair.
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ from .fock import Statistics, canonicalize
 DEFAULT_HISTORY_LIMIT = 10**6
 
 Pair = Tuple[int, int]
-Boundaries = Tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -100,8 +95,18 @@ def _acceptance_rule(pairs: Sequence[Pair]) -> Callable[[Iterable[int]], bool]:
     """Post-selection test: one particle in each pair and none outside them
     (a repeated mode counts twice); the pairs as ``_pair_bits`` takes them."""
     bit_of = _pair_bits(pairs)
-    bits = [1 << index for index in range(len(pairs))]
-    return lambda modes: sorted(bit_of.get(mode, 0) for mode in modes) == bits
+    full = (1 << len(pairs)) - 1
+
+    def accepted(modes: Iterable[int]) -> bool:
+        filled = 0
+        for mode in modes:  # every particle must land in a pair that is still empty
+            bit = bit_of.get(mode, 0)
+            if not bit or filled & bit:
+                return False
+            filled |= bit
+        return filled == full
+
+    return accepted
 
 
 def _injection_labels(c: Circuit) -> Tuple[int, ...]:
@@ -141,50 +146,43 @@ def _particle_paths(c: Circuit, injected: int, bit_of: dict) -> Iterator[tuple]:
             yield (modes,), (dest,), dest, 1 << dest, amp_in * amp_out, bit_of.get(dest, 0)
 
 
-def _branch_combinations(c: Circuit, accepted_only: bool = False, limit: Optional[int] = None):
-    """The number of histories, the product of the particles' branch counts,
-    and the ``_walk`` over them.  ``limit`` bounds the histories of the full
-    walk here; the caller of the cut walk counts the leaves it visits."""
+def _branch_combinations(c: Circuit, accepted_only: bool = False):
+    """The number of histories, the product of branch counts, and their ``_walk``."""
     bit_of = _pair_bits(c.target_pairs)
     levels = [list(_particle_paths(c, mode, bit_of)) for mode in sorted(c.injections)]
     total = math.prod(len(level) for level in levels)
-    if limit is not None and not accepted_only and total > limit:
-        raise TooManyHistories(f"{total} histories exceed the enumeration limit of {limit}")
     return total, _walk(levels, len(c.target_pairs), accepted_only)
+
+
+def _check_limit(count: int, limit: Optional[int], what: str) -> None:
+    if limit is not None and count > limit:
+        raise TooManyHistories(f"{count} {what} exceed the limit of {limit}")
 
 
 def _walk(levels, num_pairs: int, accepted_only: bool):
     """Yield ``(boundaries, finals, amplitude, inversions, accepted)`` per
-    history, depth-first in the order of ``itertools.product(*levels)``.  A
-    prefix carries its amplitude (from ``1``, left to right as ``math.prod``),
-    occupied final modes, inversions and empty target pairs; ``inversions`` is
-    ``None`` when two particles share a final mode.  ``accepted_only`` cuts a
-    prefix once a final mode lands outside every empty target pair."""
+    history in ``itertools.product(*levels)`` order, depth-first; a prefix
+    carries its amplitude (from ``1``, left to right as ``math.prod``), occupied
+    modes as a bitmask, inversions (``None`` once two particles share a mode)
+    and empty target pairs.  ``accepted_only`` cuts a prefix once a final mode
+    lands outside every empty target pair and yields only accepted histories."""
     k = len(levels)
-    if not k:  # no particles: one empty history
-        yield (), (), 1, 0, True
-        return
     rejected = 1 << num_pairs  # set in ``empty`` once post-selection rejects the prefix
-    stack = [(0, (), (), 1, 0, 0, rejected - 1)]
+    stack = [(0, (), (), 1, 0, 0, rejected - 1)]  # children go on last first
     while stack:
         depth, paths, finals, amplitude, occupied, inversions, empty = stack.pop()
-        if depth < k - 1:  # push the children, last first, so they pop in order
-            for step, final_, final, final_bit, amp, pair_bit in reversed(levels[depth]):
-                if accepted_only and not empty & pair_bit:
-                    continue
-                left = empty ^ pair_bit if empty & pair_bit else empty | rejected
-                inv = inversions + (occupied >> final).bit_count()
-                stack.append((depth + 1, paths + step, finals + final_, amplitude * amp,
-                              occupied | final_bit, inv, left))
+        if depth == k:  # a whole history, accepted when no pair is left empty
+            if not (accepted_only and empty):
+                collided = occupied.bit_count() != k  # two particles share a mode
+                yield paths, finals, amplitude, None if collided else inversions, not empty
             continue
-        for step, final_, final, final_bit, amp, pair_bit in levels[depth]:  # the leaves
-            if accepted_only and not empty & pair_bit:
+        for step, final_, final, final_bit, amp, pair_bit in reversed(levels[depth]):
+            if accepted_only and not empty & pair_bit:  # outside every empty pair
                 continue
             left = empty ^ pair_bit if empty & pair_bit else empty | rejected
             inv = inversions + (occupied >> final).bit_count()
-            if (occupied | final_bit).bit_count() != k:  # two particles share a mode
-                inv = None
-            yield paths + step, finals + final_, amplitude * amp, inv, not left
+            stack.append((depth + 1, paths + step, finals + final_, amplitude * amp,
+                          occupied | final_bit, inv, left))
 
 
 def _history(paths, finals, amplitude: complex, statistics: Statistics) -> PathHistory:
@@ -208,7 +206,8 @@ def enumerate_histories(
     same walk; the colliding ones either cancel or carry the weight outside
     the single-occupancy sector (``escaped``).
     """
-    _, walk = _branch_combinations(c, limit=max_histories)
+    total, walk = _branch_combinations(c)
+    _check_limit(total, max_histories, "histories")
     return [_history(paths, finals, amp, statistics) for paths, finals, amp, _, _ in walk]
 
 
@@ -232,21 +231,22 @@ def verify_no_touching(
 ) -> TouchReport:
     """Certify that accepted outcomes involve no touching histories.
 
-    Walks the histories ``run`` sums, only those post-selection accepts when
-    ``post_select`` is true (else all of them), and checks each one with
-    amplitude above ``amplitude_tolerance`` for two particles in one final
-    mode or one output gate, the only places they can meet.  A valid circuit
-    always passes with post-selection (see the module doc).
-    ``histories_total`` is the product of the branch counts either way.
-    ``max_histories`` bounds that product up front without post-selection,
-    and the accepted histories visited with it.
+    Walks the histories ``run`` sums (only those post-selection accepts when
+    ``post_select`` is true) and checks each one with amplitude above
+    ``amplitude_tolerance`` for two particles in one final mode or one output
+    gate, the only places they can meet; a valid circuit always passes with
+    post-selection.  ``histories_total`` is the product of the branch counts.
+    ``max_histories`` bounds it up front without post-selection, and the
+    accepted histories visited with it.
     """
-    total, walk = _branch_combinations(c, post_select, max_histories)
+    total, walk = _branch_combinations(c, post_select)
+    if not post_select:
+        _check_limit(total, max_histories, "histories")
     counterexamples: List[TouchEvent] = []
     checked = 0
     for visited, (paths, finals, amplitude, _, _) in enumerate(walk, 1):
-        if max_histories is not None and visited > max_histories:  # only the cut walk
-            raise TooManyHistories(f"accepted histories exceed the limit of {max_histories}")
+        if post_select:
+            _check_limit(visited, max_histories, "accepted histories")
         if abs(amplitude) <= amplitude_tolerance:
             continue
         checked += 1

@@ -17,7 +17,16 @@ import numpy as np
 import pytest
 from test_differential import paired_circuit, random_circuit
 
-from notouch.circuit import _ghz_ring, bell_circuit, ghz_circuit, hom_circuit, w_circuit
+from notouch.circuit import (
+    Circuit,
+    _ghz_ring,
+    bell_circuit,
+    ghz_circuit,
+    hadamard_gate,
+    hom_circuit,
+    permutation_from_one_line,
+    w_circuit,
+)
 from notouch.engine import RunOutput, run, run_distinguishable
 from notouch.fock import BOSON, FERMION, FockState, anyon, norm
 from notouch.paths import (
@@ -31,10 +40,41 @@ from notouch.paths import (
     verify_no_touching,
 )
 
+
+
+def one_particle_two_pairs():
+    """One particle split over rails (1, 2); target pair (3, 4) stays empty."""
+    return Circuit(
+        num_modes=4,
+        input_subsystems=((1, 2),),
+        injections=(1,),
+        input_stage=(hadamard_gate(1, 2),),
+        permutation=permutation_from_one_line([1, 2, 3, 4]),
+        output_stage=(),
+        output_subsystems=((1, 2), (3, 4)),
+        target_pairs=((1, 2), (3, 4)),
+    )
+
+
+def no_particle_one_pair():
+    """No particle at all, and one target pair to fill."""
+    return Circuit(
+        num_modes=2,
+        input_subsystems=(),
+        injections=(),
+        input_stage=(),
+        permutation=permutation_from_one_line([1, 2]),
+        output_stage=(),
+        output_subsystems=((1, 2),),
+        target_pairs=((1, 2),),
+    )
+
+
 STATS = (BOSON, FERMION, anyon(0.7), anyon(2.1))
+EMPTY_PAIR_BUILDS = (one_particle_two_pairs, no_particle_one_pair)
 CIRCUITS = (
     [pytest.param(lambda build=build: build(), id=build.__name__)
-     for build in (bell_circuit, ghz_circuit, w_circuit, hom_circuit)]
+     for build in (bell_circuit, ghz_circuit, w_circuit, hom_circuit, *EMPTY_PAIR_BUILDS)]
     + [pytest.param(lambda n=n: _ghz_ring(n), id=f"ring{n}") for n in range(2, 11)]
     + [pytest.param(lambda s=s: random_circuit(np.random.default_rng(1000 + s)), id=f"random{s}")
        for s in range(24)]
@@ -115,7 +155,8 @@ def test_runs_equal_the_product_walk(make):
 
 
 def test_the_run_oracle_is_not_vacuous():
-    # hom's two particles always share its one pair, and random_circuit
+    # hom's two particles always share its one pair, the two circuits with
+    # fewer particles than pairs leave a pair empty, and random_circuit
     # accepts nothing on 15 of its 24 seeds; every other case accepts
     accepting = [
         param.id
@@ -123,7 +164,21 @@ def test_the_run_oracle_is_not_vacuous():
         for stat in (*STATS, None)
         if _run(param.values[0](), stat).accepted.num_terms
     ]
-    assert len(accepting) == 5 * (len(CIRCUITS) - 16) == 225
+    assert len(accepting) == 5 * (len(CIRCUITS) - 18) == 225
+
+
+@pytest.mark.parametrize("build", EMPTY_PAIR_BUILDS)
+def test_a_pair_left_empty_is_rejected(build):
+    # every history leaves a target pair empty, so post-selection accepts
+    # none of them and the verifier checks none
+    c = build()
+    for stat in (*STATS, None):
+        out = _run(c, stat)
+        assert (out.accepted.num_terms, out.probability, out.histories) == (0, 0, ())
+    report = verify_no_touching(c, BOSON)
+    assert (report.histories_total, report.histories_checked) == (2 if c.injections else 1, 0)
+    everything = verify_no_touching(c, BOSON, post_select=False)
+    assert everything.histories_checked == report.histories_total
 
 
 @pytest.mark.parametrize("make", CIRCUITS)
