@@ -36,7 +36,10 @@ from notouch.paths import (
     _canonical,
     _history,
     _injection_labels,
+    _pair_bits,
+    _particle_paths,
     _touch_events,
+    _walk,
     verify_no_touching,
 )
 
@@ -188,6 +191,28 @@ def test_verifier_equals_the_product_walk(make):
         for post_select in (True, False):
             report = verify_no_touching(c, stat, post_select=post_select)
             assert report == reference_verify(c, stat, post_select), (stat, post_select)
+
+
+def test_the_cut_walk_expands_only_accepted_prefixes():
+    # on the ring, a prefix survives the cut while its particles stay on
+    # their own pair and then move on to the next one: d + 1 prefixes of
+    # d particles, so n(n + 1)/2 level reads where the full walk makes 2^n - 1
+    n = 12
+    c = _ghz_ring(n)
+    reads = []
+
+    class Levels(list):
+        def __getitem__(self, depth):
+            reads.append(depth)
+            return super().__getitem__(depth)
+
+    bit_of = _pair_bits(c.target_pairs)
+    levels = Levels(list(_particle_paths(c, mode, bit_of)) for mode in sorted(c.injections))
+    assert len(list(_walk(levels, n, True))) == 2
+    assert len(reads) == n * (n + 1) // 2
+    reads.clear()
+    assert len(list(_walk(levels, n, False))) == 2**n
+    assert len(reads) == 2**n - 1
 
 
 def test_a_run_leaves_no_reference_cycle():
