@@ -152,9 +152,9 @@ def _run(c: Circuit, statistics: Optional[Statistics]) -> RunOutput:
         if selected:
             kept[key] = kept.get(key, 0.0 + 0.0j) + term
             histories.append((finals, species, amplitude))
-    state = FockState(c.num_modes, terms)
+    state = FockState._from_canonical(c.num_modes, terms)
     state.escaped = 1.0 - norm(state) ** 2
-    accepted = FockState(c.num_modes, kept)
+    accepted = FockState._from_canonical(c.num_modes, kept)
     probability = sum(abs(amp) ** 2 for _, _, amp in accepted.items())
     return RunOutput(state, accepted, probability, statistics, tuple(histories))
 

@@ -129,7 +129,9 @@ class FockState:
     indistinguishable particles.  The ``escaped`` attribute records squared
     norm that left the single-occupancy sector during engine evolution (e.g.
     two bosons bunching into one mode); it is bookkeeping only and ``norm``
-    leaves it out.
+    leaves it out.  ``_from_canonical`` builds a state from complex amplitudes
+    under keys already in this form, checking nothing but ``PRUNE_TOLERANCE``;
+    its one caller is ``engine._run``, whose walk builds canonical keys.
     """
 
     __slots__ = ("num_modes", "_terms", "escaped")
@@ -163,6 +165,13 @@ class FockState:
         self.escaped = float(escaped)
 
     @classmethod
+    def _from_canonical(cls, num_modes: int, terms: dict) -> "FockState":
+        state = cls.__new__(cls)
+        state.num_modes, state.escaped = num_modes, 0.0
+        state._terms = {key: amp for key, amp in terms.items() if abs(amp) >= PRUNE_TOLERANCE}
+        return state
+
+    @classmethod
     def single(cls, num_modes: int, modes: Sequence[int]) -> "FockState":
         """State with one occupied pattern, amplitude 1."""
         return cls(num_modes, {(tuple(sorted(modes)), None): 1.0})
@@ -190,4 +199,4 @@ class FockState:
 
 def norm(a: FockState) -> float:
     """Euclidean norm of the stored terms (escaped weight excluded)."""
-    return sum(abs(amp) ** 2 for _, _, amp in a.items()) ** 0.5
+    return sum(abs(amp) ** 2 for amp in a._terms.values()) ** 0.5

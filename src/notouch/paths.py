@@ -5,7 +5,9 @@ boundary: after injection, after the input stage, after the permutation and
 after the output stage.  One rule, ``_branches``, moves a particle in both
 stages: in a gate's support it branches once per support mode, with the
 matrix element as amplitude; elsewhere it stays.  ``_walk`` visits the
-histories depth-first in ``itertools.product`` order.
+histories depth-first in ``itertools.product`` order, each prefix linking
+its particles' boundary modes as ``(step, parent)`` records; they are
+flattened into boundaries only where a ``PathHistory`` is built.
 
 Particles are ordered by ascending injection mode, the creation-operator
 order of the injected state.  A history's amplitude is the product of the
@@ -118,9 +120,8 @@ def _injection_labels(c: Circuit) -> Tuple[int, ...]:
 def _canonical(raw_modes, species, statistics: Optional[Statistics]):
     """Canonical key and phase of raw modes in creation-operator order; labels
     (``species`` aligned with ``raw_modes``) travel along and pay no phase."""
-    if species is not None:
-        ordered = sorted(zip(raw_modes, species))
-        return (tuple(m for m, _ in ordered), tuple(s for _, s in ordered)), 1.0 + 0.0j
+    if species is not None:  # no particles still key as ((), ())
+        return tuple(zip(*sorted(zip(raw_modes, species)))) or ((), ()), 1.0 + 0.0j
     if statistics is None:
         raise ValueError("statistics required for unlabelled terms")
     modes, phase = canonicalize(raw_modes, statistics)
@@ -143,7 +144,7 @@ def _particle_paths(c: Circuit, injected: int, bit_of: dict) -> Iterator[tuple]:
         after_perm = c.permutation.apply(after_input)
         for dest, amp_out in _branches(after_perm, c.output_stage):
             modes = (injected, after_input, after_perm, dest)
-            yield (modes,), (dest,), dest, 1 << dest, amp_in * amp_out, bit_of.get(dest, 0)
+            yield modes, (dest,), dest, 1 << dest, amp_in * amp_out, bit_of.get(dest, 0)
 
 
 def _branch_combinations(c: Circuit, accepted_only: bool = False):
@@ -160,36 +161,45 @@ def _check_limit(count: int, limit: Optional[int], what: str) -> None:
 
 
 def _walk(levels, num_pairs: int, accepted_only: bool):
-    """Yield ``(boundaries, finals, amplitude, inversions, accepted)`` per
-    history in ``itertools.product(*levels)`` order, depth-first; a prefix
-    carries its amplitude (from ``1``, left to right as ``math.prod``), occupied
-    modes as a bitmask, inversions (``None`` once two particles share a mode)
-    and empty target pairs.  ``accepted_only`` cuts a prefix once a final mode
-    lands outside every empty target pair and yields only accepted histories."""
+    """Yield ``(path, finals, amplitude, inversions, accepted)`` per history in
+    ``itertools.product(*levels)`` order, depth-first; a prefix carries its
+    path as linked ``(step, parent)`` records (``_steps`` flattens them), its
+    amplitude (from ``1``, left to right as ``math.prod``), occupied modes as a
+    bitmask, inversions (``None`` once two particles share a mode) and empty
+    target pairs.  ``accepted_only`` cuts a prefix once a final mode lands
+    outside every empty target pair and yields only accepted histories."""
     k = len(levels)
     rejected = 1 << num_pairs  # set in ``empty`` once post-selection rejects the prefix
     stack = [(0, (), (), 1, 0, 0, rejected - 1)]  # children go on last first
     while stack:
-        depth, paths, finals, amplitude, occupied, inversions, empty = stack.pop()
+        depth, path, finals, amplitude, occupied, inversions, empty = stack.pop()
         if depth == k:  # a whole history, accepted when no pair is left empty
             if not (accepted_only and empty):
                 collided = occupied.bit_count() != k  # two particles share a mode
-                yield paths, finals, amplitude, None if collided else inversions, not empty
+                yield path, finals, amplitude, None if collided else inversions, not empty
             continue
         for step, final_, final, final_bit, amp, pair_bit in reversed(levels[depth]):
             if accepted_only and not empty & pair_bit:  # outside every empty pair
                 continue
             left = empty ^ pair_bit if empty & pair_bit else empty | rejected
             inv = inversions + (occupied >> final).bit_count()
-            stack.append((depth + 1, paths + step, finals + final_, amplitude * amp,
+            stack.append((depth + 1, (step, path), finals + final_, amplitude * amp,
                           occupied | final_bit, inv, left))
+
+
+def _steps(path) -> List[Tuple[int, ...]]:
+    """The boundary modes of each particle, in particle order, from a linked path."""
+    steps = []
+    while path:
+        step, path = path
+        steps.append(step)
+    return steps[::-1]
 
 
 def _history(paths, finals, amplitude: complex, statistics: Statistics) -> PathHistory:
     if len(set(finals)) == len(finals):
         amplitude *= _canonical(finals, None, statistics)[1]
-    boundaries = tuple(tuple(modes[b] for modes in paths) for b in range(4))
-    return PathHistory(boundaries, amplitude)
+    return PathHistory(tuple(zip(*paths)) or ((),) * 4, amplitude)
 
 
 def enumerate_histories(
@@ -208,7 +218,7 @@ def enumerate_histories(
     """
     total, walk = _branch_combinations(c)
     _check_limit(total, max_histories, "histories")
-    return [_history(paths, finals, amp, statistics) for paths, finals, amp, _, _ in walk]
+    return [_history(_steps(path), finals, amp, statistics) for path, finals, amp, _, _ in walk]
 
 
 def _touch_events(history: PathHistory, c: Circuit) -> List[TouchEvent]:
@@ -244,11 +254,11 @@ def verify_no_touching(
         _check_limit(total, max_histories, "histories")
     counterexamples: List[TouchEvent] = []
     checked = 0
-    for visited, (paths, finals, amplitude, _, _) in enumerate(walk, 1):
+    for visited, (path, finals, amp, _, _) in enumerate(walk, 1):
         if post_select:
             _check_limit(visited, max_histories, "accepted histories")
-        if abs(amplitude) <= amplitude_tolerance:
+        if abs(amp) <= amplitude_tolerance:
             continue
         checked += 1
-        counterexamples.extend(_touch_events(_history(paths, finals, amplitude, statistics), c))
+        counterexamples.extend(_touch_events(_history(_steps(path), finals, amp, statistics), c))
     return TouchReport(not counterexamples, tuple(counterexamples), total, checked)

@@ -28,8 +28,10 @@ from notouch.circuit import (
     w_circuit,
 )
 from notouch.engine import RunOutput, run, run_distinguishable
-from notouch.fock import BOSON, FERMION, FockState, anyon, norm
+from notouch.errors import DuplicateMode
+from notouch.fock import BOSON, FERMION, FockState, anyon, canonicalize, norm
 from notouch.paths import (
+    PathHistory,
     TouchReport,
     _acceptance_rule,
     _branches,
@@ -40,6 +42,7 @@ from notouch.paths import (
     _particle_paths,
     _touch_events,
     _walk,
+    enumerate_histories,
     verify_no_touching,
 )
 
@@ -122,6 +125,18 @@ def reference_run(c, statistics):
     accepted = FockState(c.num_modes, kept)
     probability = sum(abs(amp) ** 2 for _, _, amp in accepted.items())
     return RunOutput(state, accepted, probability, statistics, tuple(histories))
+
+
+def reference_histories(c, statistics):
+    """Each product-walk history with its boundaries read per step and, when
+    its final modes are distinct, the phase of sorting them."""
+    histories = []
+    for paths, finals, amplitude in product_walk(c):
+        if len(set(finals)) == len(finals):
+            amplitude *= canonicalize(finals, statistics)[1]
+        boundaries = tuple(tuple(modes[b] for modes in paths) for b in range(4))
+        histories.append(PathHistory(boundaries, amplitude))
+    return histories
 
 
 def reference_verify(c, statistics, post_select, tolerance=1e-12):
@@ -225,3 +240,38 @@ def test_a_run_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("make", CIRCUITS)
+def test_enumerated_histories_equal_the_product_walk(make):
+    c = make()
+    for stat in STATS:
+        got = [(h.particle_modes, h.amplitude) for h in enumerate_histories(c, stat)]
+        want = [(h.particle_modes, h.amplitude) for h in reference_histories(c, stat)]
+        assert got == want, stat
+
+
+def test_the_history_oracle_covers_colliding_histories():
+    # the W layout's final splitter lets two particles end in one mode; such
+    # a history keeps its amplitude without an exchange phase
+    histories = enumerate_histories(w_circuit(), FERMION)
+    colliding = [h for h in histories if len(set(h.final_modes)) < len(h.final_modes)]
+    assert 0 < len(colliding) < len(histories)
+
+
+@pytest.mark.parametrize("make", CIRCUITS)
+def test_run_states_equal_their_validated_rebuild(make):
+    # run builds its states without the public constructor's checks; the
+    # validating constructor must accept every term and keep their order
+    c = make()
+    for stat in (*STATS, None):
+        out = _run(c, stat)
+        for state in (out.pre_selection, out.accepted):
+            terms = {(modes, species): amp for modes, species, amp in state.items()}
+            rebuilt = FockState(state.num_modes, terms)
+            assert list(rebuilt.items()) == list(state.items()), stat
+
+
+def test_the_public_constructor_still_rejects_an_unsorted_key():
+    with pytest.raises(DuplicateMode):
+        FockState(4, {((3, 1), None): 1.0})
