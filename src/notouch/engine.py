@@ -6,16 +6,16 @@ permutation, apply the output-stage local unitaries, then post-select on one
 particle per target rail pair.
 
 ``run`` and ``run_distinguishable`` fold the depth-first history walk of
-``paths`` in one pass: each history whose final modes are distinct adds its
-amplitude to its canonical final pattern; those post-selection accepts also
-fill ``accepted`` and ``RunOutput.histories``, which ``analysis`` folds with
-the rail rotations appended.  ``run`` takes each phase from a table of
-``reorder_phase`` over the walk's inversion counts; labelled runs key
-histories by ``paths._canonical``.  Histories with two particles in one mode
-leave the single-occupancy sector and post-selection rejects them; their
-squared weight is the signed ``escaped`` ledger, ``1 - norm(state)**2``.
-For fermions the colliding histories cancel exactly, so it is zero only up
-to rounding.
+``paths`` with one rule, ``_fold``: each history whose final modes are
+distinct adds its amplitude to its canonical final pattern.  The full walk
+builds only ``pre_selection``; ``accepted`` and ``RunOutput.histories`` come
+from the cut walk, post-selection's one rule, and ``analysis`` folds those
+histories with the rail rotations appended.  ``run`` takes each phase from a
+table of ``reorder_phase`` over the walk's inversion counts; labelled runs
+key histories by ``paths._canonical``.  Histories with two particles in one
+mode leave the single-occupancy sector; their squared weight is the signed
+``escaped`` ledger, ``1 - norm(state)**2``.  For fermions the colliding
+histories cancel exactly, so it is zero only up to rounding.
 
 ``inject``, ``apply_gate`` and ``post_select`` are the gate-level test
 reference: each gate expands occupied support modes by their matrix columns,
@@ -128,35 +128,37 @@ def post_select(state: FockState, pairs: Sequence[Pair]) -> Tuple[FockState, flo
     return FockState(state.num_modes, kept), sum(abs(amp) ** 2 for amp in kept.values())
 
 
-def _run(c: Circuit, statistics: Optional[Statistics]) -> RunOutput:
-    """Fold the collision-free path histories once: all into the pre-selection
-    state, the accepted ones also into ``accepted`` and ``histories``.  With
-    ``statistics`` of ``None`` the particles carry ``_injection_labels``."""
-    species = _injection_labels(c) if statistics is None else None
-    k = len(c.injections)
-    if species is None:  # the phase of each inversion count k particles can have
-        phases = [statistics.reorder_phase(i) for i in range(k * (k - 1) // 2 + 1)]
-    _, walk = _branch_combinations(c)
+def _fold(walk, species, phases) -> dict:
+    """Sum the collision-free histories of ``walk`` per canonical final pattern,
+    each times ``phases[inversions]``, or keyed with ``species`` and no phase."""
     terms: dict = {}
-    kept: dict = {}
-    histories = []
-    for _, finals, amplitude, inversions, selected in walk:
+    for _, finals, amplitude, inversions in walk:
         if inversions is None:  # two particles in one mode
             continue
         if species is None:
             key, phase = (tuple(sorted(finals)), None), phases[inversions]
         else:
             key, phase = _canonical(finals, species, None)
-        term = amplitude * phase
-        terms[key] = terms.get(key, 0.0 + 0.0j) + term
-        if selected:
-            kept[key] = kept.get(key, 0.0 + 0.0j) + term
-            histories.append((finals, species, amplitude))
-    state = FockState._from_canonical(c.num_modes, terms)
+        terms[key] = terms.get(key, 0.0 + 0.0j) + amplitude * phase
+    return terms
+
+
+def _run(c: Circuit, statistics: Optional[Statistics]) -> RunOutput:
+    """Fold the full walk into ``pre_selection`` only and the cut walk's leaves
+    into ``accepted`` and ``histories``.  With ``statistics`` of ``None`` the
+    particles carry ``_injection_labels``."""
+    species = _injection_labels(c) if statistics is None else None
+    phases = None  # labelled particles pay none
+    if species is None:  # the phase of every inversion count the particles can have
+        phases = [statistics.reorder_phase(i) for i in range(math.comb(len(c.injections), 2) + 1)]
+    _, walk = _branch_combinations(c)
+    state = FockState._from_canonical(c.num_modes, _fold(walk, species, phases))
     state.escaped = 1.0 - norm(state) ** 2
-    accepted = FockState._from_canonical(c.num_modes, kept)
+    leaves = list(_branch_combinations(c, accepted_only=True)[1])
+    accepted = FockState._from_canonical(c.num_modes, _fold(leaves, species, phases))
     probability = sum(abs(amp) ** 2 for _, _, amp in accepted.items())
-    return RunOutput(state, accepted, probability, statistics, tuple(histories))
+    histories = tuple((finals, species, amplitude) for _, finals, amplitude, _ in leaves)
+    return RunOutput(state, accepted, probability, statistics, histories)
 
 
 def run(c: Circuit, statistics: Statistics) -> RunOutput:

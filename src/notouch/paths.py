@@ -14,19 +14,21 @@ order of the injected state.  A history's amplitude is the product of the
 traversed matrix elements times the statistics phase ``reorder_phase(k)``,
 where ``k`` counts the inversions of the final modes in that particle order,
 paid once when the final operator product is put in ascending-mode order.
-``engine.run`` reads it from a table over the walk's ``k``; ``_canonical``
-sorts the raw modes of labelled terms, verified histories and the correlation
-evaluator's rotated accepted histories.
+The walk counts ``k``: ``engine.run`` and ``_history`` read the phase from
+it, and ``_canonical`` sorts the raw modes of labelled terms and the
+correlation evaluator's rotated accepted histories.
 
 Two particles "touch" when they share a mode or sit inside one gate.  A
 valid circuit keeps each particle alone in its input subsystem and permutes
 by a bijection, so particles can meet only in the output stage, which the
-verifier checks in every history (with post-selection, in every accepted
-one: the walk cuts a prefix once a final mode lands outside every empty
-target pair, so on the n-particle GHZ ring it visits 2 of the 2^n).  With
-post-selection a valid circuit cannot fail: each output gate lies in one
-output subsystem holding one target pair, so two particles meeting there
-leave a pair with two or a particle outside every pair.
+verifier checks in every history or, with post-selection, in every leaf of
+the cut walk.  That walk is post-selection's one rule: it cuts a prefix once
+a final mode lands outside every empty target pair (on the n-particle GHZ
+ring it visits 2 of the 2^n), and ``engine.run`` takes ``accepted`` and
+``histories`` from it, folding the full walk only into ``pre_selection``.
+With post-selection a valid circuit cannot fail: each output gate lies in
+one output subsystem holding one target pair, so two particles meeting
+there leave a pair with two or a particle outside every pair.
 """
 
 from __future__ import annotations
@@ -161,45 +163,41 @@ def _check_limit(count: int, limit: Optional[int], what: str) -> None:
 
 
 def _walk(levels, num_pairs: int, accepted_only: bool):
-    """Yield ``(path, finals, amplitude, inversions, accepted)`` per history in
+    """Yield ``(path, finals, amplitude, inversions)`` per history in
     ``itertools.product(*levels)`` order, depth-first; a prefix carries its
-    path as linked ``(step, parent)`` records (``_steps`` flattens them), its
-    amplitude (from ``1``, left to right as ``math.prod``), occupied modes as a
-    bitmask, inversions (``None`` once two particles share a mode) and empty
-    target pairs.  ``accepted_only`` cuts a prefix once a final mode lands
-    outside every empty target pair and yields only accepted histories."""
+    path as linked ``(step, parent)`` records, its amplitude (from ``1``, left
+    to right as ``math.prod``), occupied modes as a bitmask, inversions
+    (``None`` once two particles share a mode) and empty target pairs.
+    ``accepted_only`` is post-selection: it cuts a prefix once a final mode
+    lands outside every empty target pair and drops a history that leaves a
+    pair empty.  ``engine.run`` folds these leaves into ``accepted`` and
+    ``histories``, and the full walk only into ``pre_selection``."""
     k = len(levels)
-    rejected = 1 << num_pairs  # set in ``empty`` once post-selection rejects the prefix
-    stack = [(0, (), (), 1, 0, 0, rejected - 1)]  # children go on last first
+    stack = [(0, (), (), 1, 0, 0, (1 << num_pairs) - 1)]  # children go on last first
     while stack:
         depth, path, finals, amplitude, occupied, inversions, empty = stack.pop()
-        if depth == k:  # a whole history, accepted when no pair is left empty
+        if depth == k:
             if not (accepted_only and empty):
-                collided = occupied.bit_count() != k  # two particles share a mode
-                yield path, finals, amplitude, None if collided else inversions, not empty
+                yield path, finals, amplitude, inversions if occupied.bit_count() == k else None
             continue
         for step, final_, final, final_bit, amp, pair_bit in reversed(levels[depth]):
             if accepted_only and not empty & pair_bit:  # outside every empty pair
                 continue
-            left = empty ^ pair_bit if empty & pair_bit else empty | rejected
             inv = inversions + (occupied >> final).bit_count()
             stack.append((depth + 1, (step, path), finals + final_, amplitude * amp,
-                          occupied | final_bit, inv, left))
+                          occupied | final_bit, inv, empty & ~pair_bit))
 
 
-def _steps(path) -> List[Tuple[int, ...]]:
-    """The boundary modes of each particle, in particle order, from a linked path."""
+def _history(path, amplitude: complex, inversions, statistics: Statistics) -> PathHistory:
+    """A walk leaf as a ``PathHistory``, paying the phase of ``inversions``
+    unless two particles share a final mode (``None``)."""
     steps = []
     while path:
         step, path = path
         steps.append(step)
-    return steps[::-1]
-
-
-def _history(paths, finals, amplitude: complex, statistics: Statistics) -> PathHistory:
-    if len(set(finals)) == len(finals):
-        amplitude *= _canonical(finals, None, statistics)[1]
-    return PathHistory(tuple(zip(*paths)) or ((),) * 4, amplitude)
+    if inversions is not None:
+        amplitude *= statistics.reorder_phase(inversions)
+    return PathHistory(tuple(zip(*steps[::-1])) or ((),) * 4, amplitude)
 
 
 def enumerate_histories(
@@ -218,7 +216,7 @@ def enumerate_histories(
     """
     total, walk = _branch_combinations(c)
     _check_limit(total, max_histories, "histories")
-    return [_history(_steps(path), finals, amp, statistics) for path, finals, amp, _, _ in walk]
+    return [_history(path, amp, inversions, statistics) for path, _, amp, inversions in walk]
 
 
 def _touch_events(history: PathHistory, c: Circuit) -> List[TouchEvent]:
@@ -254,11 +252,11 @@ def verify_no_touching(
         _check_limit(total, max_histories, "histories")
     counterexamples: List[TouchEvent] = []
     checked = 0
-    for visited, (path, finals, amp, _, _) in enumerate(walk, 1):
+    for visited, (path, _, amp, inversions) in enumerate(walk, 1):
         if post_select:
             _check_limit(visited, max_histories, "accepted histories")
         if abs(amp) <= amplitude_tolerance:
             continue
         checked += 1
-        counterexamples.extend(_touch_events(_history(_steps(path), finals, amp, statistics), c))
+        counterexamples.extend(_touch_events(_history(path, amp, inversions, statistics), c))
     return TouchReport(not counterexamples, tuple(counterexamples), total, checked)

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from notouch.circuit import hom_circuit, save_circuit
+from notouch.circuit import _ghz_ring, hom_circuit, save_circuit
 from notouch.cli import main
 
 
@@ -219,6 +219,25 @@ def test_verify_hom_file_fails(tmp_path, capsys):
     assert doc["verdict"] == "fail"
     assert doc["counterexamples"]
     assert "note" in doc  # post-selection accepted nothing, fell back to accept-all
+
+
+def test_verify_keeps_post_selection_below_the_tolerance(tmp_path, capsys):
+    # the 60-particle ring accepts 2 histories of amplitude 2**-30, below the
+    # 1e-9 reporting tolerance; the accept-all walk would need 2**60 histories
+    path = tmp_path / "ring60.json"
+    save_circuit(_ghz_ring(60), path)
+    code, out, err = run_cli(capsys, "verify", "--file", str(path), "--statistics", "boson")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["verdict"], doc["post_selection"], "note" in doc) == ("pass", True, False)
+
+
+def test_a_tolerance_above_every_accepted_amplitude_keeps_post_selection(capsys, monkeypatch):
+    # run gives W p = 0.15, so post-selection accepts events below 0.3
+    monkeypatch.setenv("NOTOUCH_TOLERANCE", "0.3")
+    code, out, _ = run_cli(capsys, "verify", "--protocol", "w", "--statistics", "boson")
+    doc = json.loads(out)
+    assert (code, doc["verdict"], doc["post_selection"], "note" in doc) == (0, "pass", True, False)
 
 
 def test_verify_accept_all_w_fails(capsys):
@@ -452,7 +471,7 @@ def test_out_of_memory_is_an_input_error(capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError("Unable to allocate 149. GiB for an array with shape (100000, 100000)")
 
-    monkeypatch.setattr("notouch.cli.correlation_table", exhausted)
+    monkeypatch.setattr("notouch.analysis.correlation_table", exhausted)
     argv = ["correlate", "--protocol", "bell", "--statistics", "boson"]
     code, out, err = run_cli(capsys, *argv, "--theta1", "0:1:100000", "--theta2", "0:1:100000")
     assert code == 2

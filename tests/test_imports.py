@@ -94,4 +94,3 @@ def test_unknown_attributes_raise():
     with pytest.raises(AttributeError, match="no_such_name"):
         cli.no_such_name
     assert not hasattr(notouch, "no_such_name") and not hasattr(cli, "no_such_name")
-    assert cli.fidelity is notouch.fidelity

@@ -5,8 +5,9 @@ each particle's branches and multiplies the matrix elements with
 ``math.prod``; ``reference_run`` and ``reference_verify`` fold it the way
 ``run`` and ``verify_no_touching`` did before the walk kept its bookkeeping
 per prefix: a sort and an inversion count per history, and the acceptance
-test on every history's final modes.  The library must give ``==`` results
-in the same order.
+test on every history's final modes.  ``reference_history`` builds each
+history's boundaries and phase without the library's walk.  The library
+must give ``==`` results in the same order.
 """
 
 import gc
@@ -15,10 +16,11 @@ import math
 
 import numpy as np
 import pytest
-from test_differential import paired_circuit, random_circuit
+from test_differential import _haar, paired_circuit, random_circuit
 
 from notouch.circuit import (
     Circuit,
+    LocalUnitary,
     _ghz_ring,
     bell_circuit,
     ghz_circuit,
@@ -36,7 +38,6 @@ from notouch.paths import (
     _acceptance_rule,
     _branches,
     _canonical,
-    _history,
     _injection_labels,
     _pair_bits,
     _particle_paths,
@@ -76,12 +77,35 @@ def no_particle_one_pair():
     )
 
 
+def dense_circuit(k, rng):
+    """k particles on k * k modes in blocks of k, a Haar gate on every block;
+    mode i of input block j goes to mode j of output block i, so every
+    particle reaches every target pair, the first two modes of each output
+    block.  Each accepted pattern has k! histories, and some histories
+    collide."""
+    blocks = tuple(tuple(range(j * k + 1, j * k + k + 1)) for j in range(k))
+    return Circuit(
+        num_modes=k * k,
+        input_subsystems=blocks,
+        injections=tuple(block[0] for block in blocks),
+        input_stage=tuple(LocalUnitary(block, _haar(rng, k)) for block in blocks),
+        permutation=permutation_from_one_line(
+            [(m - 1) % k * k + (m - 1) // k + 1 for m in range(1, k * k + 1)]
+        ),
+        output_stage=tuple(LocalUnitary(block, _haar(rng, k)) for block in blocks),
+        output_subsystems=blocks,
+        target_pairs=tuple(block[:2] for block in blocks),
+    )
+
+
 STATS = (BOSON, FERMION, anyon(0.7), anyon(2.1))
 EMPTY_PAIR_BUILDS = (one_particle_two_pairs, no_particle_one_pair)
 CIRCUITS = (
     [pytest.param(lambda build=build: build(), id=build.__name__)
      for build in (bell_circuit, ghz_circuit, w_circuit, hom_circuit, *EMPTY_PAIR_BUILDS)]
     + [pytest.param(lambda n=n: _ghz_ring(n), id=f"ring{n}") for n in range(2, 11)]
+    + [pytest.param(lambda k=k: dense_circuit(k, np.random.default_rng(3000 + k)), id=f"dense{k}")
+       for k in (2, 3)]
     + [pytest.param(lambda s=s: random_circuit(np.random.default_rng(1000 + s)), id=f"random{s}")
        for s in range(24)]
     + [pytest.param(lambda s=s: paired_circuit(np.random.default_rng(2000 + s)), id=f"paired{s}")
@@ -127,16 +151,16 @@ def reference_run(c, statistics):
     return RunOutput(state, accepted, probability, statistics, tuple(histories))
 
 
+def reference_history(paths, finals, amplitude, statistics):
+    """A product-walk history with its boundaries read per step and, when its
+    final modes are distinct, the phase of sorting them."""
+    if len(set(finals)) == len(finals):
+        amplitude *= canonicalize(finals, statistics)[1]
+    return PathHistory(tuple(tuple(modes[b] for modes in paths) for b in range(4)), amplitude)
+
+
 def reference_histories(c, statistics):
-    """Each product-walk history with its boundaries read per step and, when
-    its final modes are distinct, the phase of sorting them."""
-    histories = []
-    for paths, finals, amplitude in product_walk(c):
-        if len(set(finals)) == len(finals):
-            amplitude *= canonicalize(finals, statistics)[1]
-        boundaries = tuple(tuple(modes[b] for modes in paths) for b in range(4))
-        histories.append(PathHistory(boundaries, amplitude))
-    return histories
+    return [reference_history(*history, statistics) for history in product_walk(c)]
 
 
 def reference_verify(c, statistics, post_select, tolerance=1e-12):
@@ -147,7 +171,7 @@ def reference_verify(c, statistics, post_select, tolerance=1e-12):
         if abs(amplitude) <= tolerance or (post_select and not accepted(finals)):
             continue
         checked += 1
-        events.extend(_touch_events(_history(paths, finals, amplitude, statistics), c))
+        events.extend(_touch_events(reference_history(paths, finals, amplitude, statistics), c))
     return TouchReport(not events, tuple(events), total, checked)
 
 
@@ -182,7 +206,7 @@ def test_the_run_oracle_is_not_vacuous():
         for stat in (*STATS, None)
         if _run(param.values[0](), stat).accepted.num_terms
     ]
-    assert len(accepting) == 5 * (len(CIRCUITS) - 18) == 225
+    assert len(accepting) == 5 * (len(CIRCUITS) - 18) == 235
 
 
 @pytest.mark.parametrize("build", EMPTY_PAIR_BUILDS)
