@@ -76,7 +76,6 @@ __all__ = [
     "FockState",
     "InvalidCircuit",
     "LocalUnitary",
-    "MeasurementSetting",
     "NoTouchError",
     "NotBijective",
     "NotNormalized",

@@ -11,7 +11,6 @@ included, is paid once from the raw final modes in ascending injection order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -22,19 +21,6 @@ from .paths import _acceptance_rule, _canonical
 from .qubits import QubitState
 
 Pair = Tuple[int, int]
-
-
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """One detection angle; realized as the rotation [[p, q], [q, -p]]."""
-
-    theta: float
-
-    @property
-    def matrix(self) -> np.ndarray:
-        p = np.cos(self.theta / 2.0)
-        q = np.sin(self.theta / 2.0)
-        return np.array([[p, q], [q, -p]], dtype=complex)
 
 
 # One pair's product of two half-angle factors, indexed [u, v] with 0 for

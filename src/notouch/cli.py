@@ -5,7 +5,8 @@ Exit codes: 0 success (and verifier pass), 1 verifier fail, 2 argument,
 input or out-of-memory error, 3 circuit validation failure.  JSON documents are
 deterministic: fixed key order, terms in ascending mode order, floats
 rounded to 12 significant digits at serialization only.  The environment
-variable ``NOTOUCH_TOLERANCE`` overrides the 1e-9 reporting tolerance with a
+variable ``NOTOUCH_TOLERANCE`` overrides the 1e-9 reporting tolerance, at or
+below which only the accept-all walk of ``verify`` skips a history, with a
 value in [0, 1) (it does not change the internal 1e-12 amplitude pruning).
 """
 
@@ -180,9 +181,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         post_select=not args.accept_all,
         amplitude_tolerance=tolerance,
     )
-    if not args.accept_all and report.histories_checked == 0 and not verify_no_touching(
-        circuit, stat, amplitude_tolerance=0.0  # accepted histories below the tolerance count
-    ).histories_checked:
+    if not args.accept_all and report.histories_checked == 0:
         note = "post-selection accepts no events; verified all histories instead"
         report = verify_no_touching(
             circuit, stat, post_select=False, amplitude_tolerance=tolerance

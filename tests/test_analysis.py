@@ -5,7 +5,6 @@ import pytest
 
 from notouch.analysis import (
     CorrelationEvaluator,
-    MeasurementSetting,
     chsh_grid_max,
     chsh_value,
     correlation,
@@ -39,8 +38,14 @@ from notouch.qubits import QubitState
 PAIRS = bell_circuit().target_pairs
 
 
+def rail_rotation(theta):
+    """The detection rotation [[cos, sin], [sin, -cos]] of theta / 2 on one rail pair."""
+    p, q = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    return np.array([[p, q], [q, -p]], dtype=complex)
+
+
 def test_setting_matrix_is_orthogonal():
-    m = MeasurementSetting(0.8).matrix
+    m = rail_rotation(0.8)
     assert np.allclose(m @ m.conj().T, np.eye(2), atol=1e-12)
     assert np.allclose(m, [[np.cos(0.4), np.sin(0.4)], [np.sin(0.4), -np.cos(0.4)]])
 
@@ -286,7 +291,7 @@ def _scalar_correlation(out, thetas, pairs):
     n, f = out.accepted.num_modes, 1.0 / norm(out.accepted)
     state = FockState(n, {(m, s): f * a for m, s, a in out.accepted.items()})
     for theta, pair in zip(thetas, pairs):
-        gate = LocalUnitary(tuple(pair), MeasurementSetting(theta).matrix)
+        gate = LocalUnitary(tuple(pair), rail_rotation(theta))
         state = apply_gate(state, gate, out.statistics)
     kept, weight = post_select(state, pairs)
     total = 0.0
@@ -391,7 +396,7 @@ def test_interleaved_correlation_is_the_run_with_rotations_appended(one_line):
     thetas = (0.4, 1.1)
     value = correlation(run(circuit, anyon(0.7)), thetas, circuit.target_pairs)
     rotations = tuple(
-        LocalUnitary(pair, MeasurementSetting(theta).matrix)
+        LocalUnitary(pair, rail_rotation(theta))
         for pair, theta in zip(circuit.target_pairs, thetas)
     )
     measured = run(replace(circuit, output_stage=rotations), anyon(0.7))

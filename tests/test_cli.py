@@ -4,8 +4,10 @@ import time
 import numpy as np
 import pytest
 
+import notouch.cli
 from notouch.circuit import _ghz_ring, hom_circuit, save_circuit
 from notouch.cli import main
+from notouch.paths import verify_no_touching
 
 
 def run_cli(capsys, *argv):
@@ -230,6 +232,39 @@ def test_verify_keeps_post_selection_below_the_tolerance(tmp_path, capsys):
     assert (code, err) == (0, "")
     doc = json.loads(out)
     assert (doc["verdict"], doc["post_selection"], "note" in doc) == ("pass", True, False)
+    assert doc["histories_checked"] == 2
+
+
+def test_verify_checks_both_accepted_histories_of_the_64_particle_ring(tmp_path, capsys):
+    path = tmp_path / "ring64.json"
+    save_circuit(_ghz_ring(64), path)
+    code, out, err = run_cli(capsys, "verify", "--file", str(path), "--statistics", "fermion")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["verdict"], doc["post_selection"], "note" in doc) == ("pass", True, False)
+    assert (doc["histories_total"], doc["histories_checked"]) == (2**64, 2)
+
+
+@pytest.mark.parametrize("protocol,walks", [("w", 1), ("hom", 2)])
+def test_verify_walks_once_unless_post_selection_accepts_nothing(
+    tmp_path, capsys, monkeypatch, protocol, walks
+):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("post_select", True))
+        return verify_no_touching(*args, **kwargs)
+
+    monkeypatch.setattr(notouch.cli, "verify_no_touching", counting)
+    if protocol == "hom":
+        path = tmp_path / "hom.json"
+        save_circuit(hom_circuit(), path)
+        argv = ("--file", str(path))
+    else:
+        argv = ("--protocol", protocol)
+    run_cli(capsys, "verify", *argv, "--statistics", "boson")
+    # post-selection first; the accept-all fallback only when it checked nothing
+    assert calls == [True, False][:walks]
 
 
 def test_a_tolerance_above_every_accepted_amplitude_keeps_post_selection(capsys, monkeypatch):

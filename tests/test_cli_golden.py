@@ -15,6 +15,7 @@ import gzip
 import io
 import json
 import os
+import shlex
 import sys
 import tempfile
 from pathlib import Path
@@ -117,6 +118,19 @@ def test_golden_set_is_small_and_has_no_stray_files():
     stray = {n for n in names if n != "exit_codes.json" and n.split(".")[0] not in CASES}
     assert stray == set()
     assert sum(path.stat().st_size for path in GOLDEN.iterdir()) < 60_000
+
+
+def test_every_readme_command_is_a_golden_case():
+    readme = (GOLDEN.parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    commands = [
+        shlex.split(line, comments=True)
+        for line in block.replace("\\\n", " ").splitlines()
+        if not line.startswith("python -c ")
+    ]
+    assert all(argv[0] == "notouch" for argv in commands)
+    readme_cases = [argv for name, (argv, *_) in CASES.items() if name.startswith("readme_")]
+    assert sorted(argv[1:] for argv in commands) == sorted(readme_cases)
 
 
 if __name__ == "__main__":

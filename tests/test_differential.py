@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from notouch.analysis import MeasurementSetting, correlation
+from notouch.analysis import correlation
 from notouch.circuit import (
     Circuit,
     LocalUnitary,
@@ -164,13 +164,19 @@ def oracle_labelled(c: Circuit) -> dict:
     return terms
 
 
+def rail_rotation(theta):
+    """The detection rotation [[cos, sin], [sin, -cos]] of theta / 2 on one rail pair."""
+    p, q = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    return np.array([[p, q], [q, -p]], dtype=complex)
+
+
 def oracle_correlation(c: Circuit, stat, thetas) -> float:
     """Outcome-product average after rotating every target pair, from
     ``T' = R(theta) T``; ``stat`` of ``None`` labels the particles."""
     r = np.eye(c.num_modes, dtype=complex)
     for theta, pair in zip(thetas, c.target_pairs):
         idx = [m - 1 for m in pair]
-        r[np.ix_(idx, idx)] = MeasurementSetting(theta).matrix
+        r[np.ix_(idx, idx)] = rail_rotation(theta)
     sums: dict = {}
     for finals, amp in _assignments(c, r @ transfer_matrix(c)):
         if stat is None:
@@ -242,6 +248,17 @@ def test_random_circuits_detect_like_labelled_particles(seed):
         dist = computational_distribution(run(c, stat), c.target_pairs)
         assert dist.keys() == labelled.keys(), stat
         assert max((abs(dist[k] - labelled[k]) for k in dist), default=0.0) <= TOL, stat
+
+
+def test_the_labelled_detection_check_is_not_vacuous():
+    # 15 of those 24 seeds accept nothing, so both sides are empty there;
+    # these 9 must keep accepting something
+    accepting = set()
+    for seed in range(24):
+        c = random_circuit(np.random.default_rng(1000 + seed))
+        if computational_distribution(run_distinguishable(c), c.target_pairs):
+            accepting.add(seed)
+    assert accepting >= {6, 7, 8, 11, 12, 13, 16, 20, 21}
 
 
 CIRCUITS = (

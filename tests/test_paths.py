@@ -137,10 +137,12 @@ def _filtered_report(circuit, stat, post_select, tolerance, touch_events=_touch_
             counts[a] + counts[b] == 1 for a, b in circuit.target_pairs
         )
 
+    # post-selection checks every accepted history of nonzero amplitude
+    floor = 0.0 if post_select else tolerance
     checked = [
         h
         for h in histories
-        if abs(h.amplitude) > tolerance and (not post_select or accepted(h.final_modes))
+        if abs(h.amplitude) > floor and (not post_select or accepted(h.final_modes))
     ]
     events = tuple(ev for h in checked for ev in touch_events(h, circuit))
     return TouchReport(not events, events, len(histories), len(checked))
@@ -223,6 +225,30 @@ def test_the_history_limit_counts_the_accepted_histories_visited():
     # the full walk, like enumerate_histories, checks the product before it starts
     with pytest.raises(TooManyHistories, match="1048576 histories exceed"):
         verify_no_touching(_ghz_ring(20), BOSON, post_select=False)
+
+
+def test_post_selection_checks_accepted_histories_of_any_magnitude():
+    # each of the 2 accepted histories of the 80-particle ring has amplitude
+    # 2**-40, far below the default tolerance
+    report = verify_no_touching(_ghz_ring(80), FERMION)
+    assert report.verdict == "pass"
+    assert (report.histories_total, report.histories_checked) == (2**80, 2)
+
+
+@pytest.mark.parametrize("stat", ALL_STATS)
+@pytest.mark.parametrize(
+    "make",
+    [bell_circuit, ghz_circuit, w_circuit, lambda: _ghz_ring(10)],
+    ids=["bell", "ghz", "w", "ring10"],
+)
+def test_a_post_selected_report_takes_no_tolerance(make, stat):
+    circuit = make()
+    reports = [
+        verify_no_touching(circuit, stat, amplitude_tolerance=tolerance)
+        for tolerance in (0.0, 1e-12, 0.3, 0.99)
+    ]
+    assert all(report == reports[0] for report in reports)
+    assert reports[0].passed and reports[0].histories_checked > 0
 
 
 @pytest.mark.parametrize("stat", ALL_STATS)
