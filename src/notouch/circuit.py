@@ -19,11 +19,17 @@ from typing import Sequence, Tuple, Union
 
 from .errors import InvalidCircuit, NoTouchError, NotBijective, NotNormalized, SameMode
 from .fock import Statistics
-from .qubits import QubitState, _complex_entries
+from .qubits import QubitState
 
 UNITARY_TOLERANCE = 1e-9
 
 SQRT2 = math.sqrt(2.0)
+
+
+def _complex_entries(v):
+    """An array or nested sequences of numbers as nested tuples of Python complex."""
+    v = v.tolist() if hasattr(v, "tolist") else v
+    return tuple(map(_complex_entries, v)) if isinstance(v, (list, tuple)) else complex(v)
 
 
 def _mode_labels(values, what: str) -> Tuple[int, ...]:

@@ -4,10 +4,8 @@ no-touching, synthesize two-qubit circuits.
 Exit codes: 0 success (and verifier pass), 1 verifier fail, 2 argument,
 input or out-of-memory error, 3 circuit validation failure.  JSON documents are
 deterministic: fixed key order, terms in ascending mode order, floats
-rounded to 12 significant digits at serialization only.  The environment
-variable ``NOTOUCH_TOLERANCE`` overrides the 1e-9 reporting tolerance, at or
-below which only the accept-all walk of ``verify`` skips a history, with a
-value in [0, 1) (it does not change the internal 1e-12 amplitude pruning).
+rounded to 12 significant digits at serialization only.  ``verify`` checks
+every history of nonzero amplitude that its walk visits.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -34,35 +31,14 @@ from .fock import PRUNE_TOLERANCE, Statistics
 from .paths import verify_no_touching
 from .qubits import QubitState
 
-DEFAULT_REPORT_TOLERANCE = 1e-9
-
-
-def _report_tolerance() -> float:
-    raw = os.environ.get("NOTOUCH_TOLERANCE")
-    if raw is None:
-        return DEFAULT_REPORT_TOLERANCE
-    try:
-        value = float(raw)
-    except ValueError:
-        raise NoTouchError(f"NOTOUCH_TOLERANCE={raw!r} is not a number") from None
-    if not 0.0 <= value < 1.0:  # NaN fails too; no history amplitude exceeds 1
-        raise NoTouchError(f"NOTOUCH_TOLERANCE={raw!r} must lie in [0, 1)")
-    return value
-
-
 def _sig(value: float, digits: int = 12) -> float:
     if value == 0 or not math.isfinite(value):
         return float(value)
     return round(value, digits - 1 - int(math.floor(math.log10(abs(value)))))
 
 
-def _metadata(tolerance: float) -> dict:
-    return {
-        "tool": "notouch",
-        "version": __version__,
-        "pruning_tolerance": PRUNE_TOLERANCE,
-        "reporting_tolerance": tolerance,
-    }
+def _metadata() -> dict:
+    return {"tool": "notouch", "version": __version__, "pruning_tolerance": PRUNE_TOLERANCE}
 
 
 def _resolve_circuit(token: str) -> Circuit:
@@ -93,7 +69,7 @@ def _parse_grid(spec: str) -> list[float]:
     return values
 
 
-def _run_document(protocol: str, stat: Statistics, tolerance: float) -> dict:
+def _run_document(protocol: str, stat: Statistics) -> dict:
     circuit = _resolve_circuit(protocol)
     out = run(circuit, stat)
     terms = []
@@ -112,14 +88,13 @@ def _run_document(protocol: str, stat: Statistics, tolerance: float) -> dict:
         "probability": _sig(out.probability),
         "accepted_terms": terms,
         "qubit_amplitudes": qubit_amps,
-        "metadata": _metadata(tolerance),
+        "metadata": _metadata(),
     }
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    tolerance = _report_tolerance()
     stat = Statistics.parse(args.statistics)
-    doc = _run_document(args.protocol, stat, tolerance)
+    doc = _run_document(args.protocol, stat)
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
@@ -138,7 +113,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_correlate(args: argparse.Namespace) -> int:
     from .analysis import correlation_table  # loads numpy, which run and verify never need
 
-    tolerance = _report_tolerance()
     stat = None if args.distinguishable else Statistics.parse(args.statistics)
     circuit = _resolve_circuit(args.protocol)
     if stat is None:
@@ -158,7 +132,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
                 {"theta1": _sig(t1), "theta2": _sig(t2), "E": _sig(e)}
                 for t1, t2, e in rows
             ],
-            "metadata": _metadata(tolerance),
+            "metadata": _metadata(),
         }
         print(json.dumps(doc, indent=2))
     else:
@@ -170,22 +144,14 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    tolerance = _report_tolerance()
     stat = Statistics.parse(args.statistics)
     token = args.protocol if args.protocol else f"file:{args.file}"
     circuit = _resolve_circuit(token)
     note = None
-    report = verify_no_touching(
-        circuit,
-        stat,
-        post_select=not args.accept_all,
-        amplitude_tolerance=tolerance,
-    )
+    report = verify_no_touching(circuit, stat, post_select=not args.accept_all)
     if not args.accept_all and report.histories_checked == 0:
         note = "post-selection accepts no events; verified all histories instead"
-        report = verify_no_touching(
-            circuit, stat, post_select=False, amplitude_tolerance=tolerance
-        )
+        report = verify_no_touching(circuit, stat, post_select=False)
     doc = {
         "protocol": token,
         "statistics": str(stat),
@@ -205,7 +171,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             }
             for ev in report.counterexamples
         ],
-        "metadata": _metadata(tolerance),
+        "metadata": _metadata(),
     }
     if note:
         doc["note"] = note
@@ -216,7 +182,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_synthesize(args: argparse.Namespace) -> int:
     from .analysis import fidelity
 
-    tolerance = _report_tolerance()
     tokens = [tok.strip() for tok in args.target.split(",") if tok.strip()]
     if len(tokens) != 4:
         raise NoTouchError("target must be four comma-separated complex amplitudes")
@@ -243,7 +208,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         "circuit_file": str(args.out),
         "probability": _sig(out.probability),
         "fidelity": _sig(fidelity(achieved, target)),
-        "metadata": _metadata(tolerance),
+        "metadata": _metadata(),
     }
     print(json.dumps(doc, indent=2))
     return 0

@@ -212,7 +212,7 @@ def extract_dual_rail(accepted: FockState, pairs: Sequence[Pair]) -> QubitState:
     vec = [0j] * 2 ** len(pairs)
     for index, amp in sums.items():
         vec[index] = amp * (1.0 / total)
-    return QubitState(len(pairs), tuple(vec))
+    return QubitState._from_values(len(pairs), tuple(vec))
 
 
 def computational_distribution(out: RunOutput, pairs: Sequence[Pair]) -> dict:

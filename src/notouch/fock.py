@@ -9,9 +9,9 @@ Conventions used throughout the package:
   phase per inversion: ``+1`` for bosons, ``-1`` for fermions and ``e^{i
   theta}`` for abelian anyons.
 * States are sparse complex superpositions of patterns.  Amplitudes with
-  magnitude below ``PRUNE_TOLERANCE`` are dropped on construction; all
-  protocol amplitudes are O(1), so the cutoff cleanly separates zero from
-  signal.
+  magnitude below ``PRUNE_TOLERANCE`` are dropped on construction, an absolute
+  cutoff that drops real amplitudes from the 80-particle GHZ ring on (2^-40
+  each there); ROADMAP.md plans a relative rule.
 * Terms may optionally carry particle labels ("species"), one per occupied
   mode, used to model distinguishable particles.  Labelled terms with
   different label assignments are orthogonal and reorder without any phase.
@@ -28,7 +28,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Iterator, Mapping, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, DuplicateMode
 
@@ -139,14 +139,13 @@ class FockState:
     def __init__(
         self,
         num_modes: int,
-        terms: Mapping[TermKey, complex] | Iterable[Tuple[TermKey, complex]] = (),
+        terms: Optional[Mapping[TermKey, complex]] = None,
         escaped: float = 0.0,
     ):
         if num_modes < 1:
             raise ValueError("num_modes must be positive")
-        items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[TermKey, complex] = {}
-        for (modes, species), amp in items:
+        for (modes, species), amp in (terms or {}).items():
             amp = complex(amp)
             if abs(amp) < PRUNE_TOLERANCE:
                 continue

@@ -21,14 +21,14 @@ correlation evaluator's rotated accepted histories.
 Two particles "touch" when they share a mode or sit inside one gate.  A valid
 circuit keeps each particle alone in its input subsystem and permutes by a
 bijection, so particles can meet only in the output stage, which the verifier
-checks in every history or, with post-selection, in every nonzero leaf of the
+checks in every nonzero leaf of the full walk or, with post-selection, of the
 cut walk.  That walk is post-selection's one rule: it cuts a prefix once a
 final mode lands outside every empty target pair (on the n-particle GHZ ring
 it visits 2 of the 2^n), and ``engine.run`` takes ``accepted`` and
 ``histories`` from it, folding the full walk only into ``pre_selection``.
-With post-selection a valid circuit cannot fail, so no tolerance applies:
-each output gate lies in one output subsystem holding one target pair, where
-two meeting particles leave a pair with two or a particle outside every pair.
+With post-selection a valid circuit cannot fail: each output gate lies in one
+output subsystem holding one target pair, where two meeting particles leave a
+pair with two or a particle outside every pair.
 """
 
 from __future__ import annotations
@@ -234,29 +234,26 @@ def verify_no_touching(
     c: Circuit,
     statistics: Statistics,
     post_select: bool = True,
-    amplitude_tolerance: float = 1e-12,
     max_histories: int = DEFAULT_HISTORY_LIMIT,
 ) -> TouchReport:
     """Certify that accepted outcomes involve no touching histories.
 
-    Walks the histories ``run`` sums and checks each one for two particles in
-    one final mode or one output gate, the only places they can meet.  With
-    ``post_select`` it checks every accepted history of nonzero amplitude, and
-    a valid circuit always passes; without it, only those with amplitude above
-    ``amplitude_tolerance``.  ``histories_total`` is the product of the branch
+    Checks every history of nonzero amplitude, of the cut walk with
+    ``post_select`` (where a valid circuit always passes) or else of the full
+    walk, for two particles in one final mode or one output gate, the only
+    places they can meet.  ``histories_total`` is the product of the branch
     counts.  ``max_histories`` bounds it up front without post-selection, and
     the accepted histories visited with it.
     """
     total, walk = _branch_combinations(c, post_select)
     if not post_select:
         _check_limit(total, max_histories, "histories")
-    floor = 0.0 if post_select else amplitude_tolerance
     counterexamples: List[TouchEvent] = []
     checked = 0
     for visited, (path, _, amp, inversions) in enumerate(walk, 1):
         if post_select:
             _check_limit(visited, max_histories, "accepted histories")
-        if abs(amp) <= floor:
+        if amp == 0:  # an exact zero, the only history skipped
             continue
         checked += 1
         counterexamples.extend(_touch_events(_history(path, amp, inversions, statistics), c))

@@ -4,14 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Number
 
-from .errors import DimensionMismatch
-
-
-def _complex_entries(v):
-    """An array or nested sequences of numbers as nested tuples of Python complex."""
-    v = v.tolist() if hasattr(v, "tolist") else v
-    return tuple(map(_complex_entries, v)) if isinstance(v, (list, tuple)) else complex(v)
+from .errors import DimensionMismatch, NoTouchError
 
 
 @dataclass(frozen=True)
@@ -21,18 +16,30 @@ class QubitState:
     The amplitude vector has length ``2**num_qubits`` and is ordered with
     qubit 1 as the most significant bit; bit value 0 is the "up" rail.  States
     compare by ``values``; ``amplitudes`` is their ndarray, built on first read.
+    ``values`` may be given as a flat list, tuple or array of numbers.
     """
 
     num_qubits: int
     values: tuple = field(repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.values, tuple):  # extract_dual_rail's tuple stays as built
-            object.__setattr__(self, "values", _complex_entries(self.values))
+        values = self.values.tolist() if hasattr(self.values, "tolist") else self.values
+        flat = isinstance(values, (list, tuple)) and all(isinstance(z, Number) for z in values)
+        if not flat:
+            raise NoTouchError("qubit amplitudes must be a flat sequence of numbers")
+        object.__setattr__(self, "values", tuple(map(complex, values)))
         if len(self.values) != 2**self.num_qubits:
             raise DimensionMismatch(
                 f"expected {2**self.num_qubits} amplitudes, got {len(self.values)}"
             )
+
+    @classmethod
+    def _from_values(cls, num_qubits: int, values: tuple) -> "QubitState":
+        """``values``, a tuple of ``2**num_qubits`` Python complex, taken unchecked."""
+        state = cls.__new__(cls)
+        object.__setattr__(state, "num_qubits", num_qubits)
+        object.__setattr__(state, "values", values)
+        return state
 
     @cached_property
     def amplitudes(self):

@@ -224,8 +224,8 @@ def test_verify_hom_file_fails(tmp_path, capsys):
 
 
 def test_verify_keeps_post_selection_below_the_tolerance(tmp_path, capsys):
-    # the 60-particle ring accepts 2 histories of amplitude 2**-30, below the
-    # 1e-9 reporting tolerance; the accept-all walk would need 2**60 histories
+    # the 60-particle ring accepts 2 histories of amplitude 2**-30; both are
+    # checked, so verify needs no accept-all fallback over 2**60 histories
     path = tmp_path / "ring60.json"
     save_circuit(_ghz_ring(60), path)
     code, out, err = run_cli(capsys, "verify", "--file", str(path), "--statistics", "boson")
@@ -265,14 +265,6 @@ def test_verify_walks_once_unless_post_selection_accepts_nothing(
     run_cli(capsys, "verify", *argv, "--statistics", "boson")
     # post-selection first; the accept-all fallback only when it checked nothing
     assert calls == [True, False][:walks]
-
-
-def test_a_tolerance_above_every_accepted_amplitude_keeps_post_selection(capsys, monkeypatch):
-    # run gives W p = 0.15, so post-selection accepts events below 0.3
-    monkeypatch.setenv("NOTOUCH_TOLERANCE", "0.3")
-    code, out, _ = run_cli(capsys, "verify", "--protocol", "w", "--statistics", "boson")
-    doc = json.loads(out)
-    assert (code, doc["verdict"], doc["post_selection"], "note" in doc) == (0, "pass", True, False)
 
 
 def test_verify_accept_all_w_fails(capsys):
@@ -354,10 +346,10 @@ SYNTHESIZE_BELL = ["synthesize", "--statistics", "boson", "--out", "never.json",
 
 
 @pytest.mark.parametrize(
-    "tolerance, argv, message",
+    "circuit_text, argv, message",
     [
-        ("abc", ["run", "--protocol", "bell", "--statistics", "boson"],
-         "NOTOUCH_TOLERANCE='abc' is not a number"),
+        ("[]", ["run", "--protocol", "file:circuit.json", "--statistics", "boson"],
+         "circuit file must hold a JSON object"),
         (None, [*BELL_CORRELATE, "--theta1", "0:1"], "grid '0:1' must be start:stop:count"),
         (None, [*BELL_CORRELATE, "--theta1", "0:1:0"], "grid count must be positive"),
         (None, [*SYNTHESIZE_BELL, "0.6,0,0.8"],
@@ -366,11 +358,11 @@ SYNTHESIZE_BELL = ["synthesize", "--statistics", "boson", "--out", "never.json",
     ],
 )
 def test_bad_arguments_exit_2_with_one_error_line(
-    tmp_path, capsys, monkeypatch, tolerance, argv, message
+    tmp_path, capsys, monkeypatch, circuit_text, argv, message
 ):
     monkeypatch.chdir(tmp_path)
-    if tolerance is not None:
-        monkeypatch.setenv("NOTOUCH_TOLERANCE", tolerance)
+    if circuit_text is not None:  # the circuit file the command reads
+        (tmp_path / "circuit.json").write_text(circuit_text)
     result = run_cli(capsys, *argv)
     assert _one_error_line(*result)
     assert result[2] == f"error: {message}\n"
@@ -416,34 +408,6 @@ def test_huge_num_modes_fails_validation_without_allocating(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert err == "error: invalid circuit: permutation is not a bijection on the modes\n"
-
-
-def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NOTOUCH_TOLERANCE", "1e-6")
-    code, out, _ = run_cli(capsys, "run", "--protocol", "bell", "--statistics", "boson")
-    assert code == 0
-    assert json.loads(out)["metadata"]["reporting_tolerance"] == 1e-6
-
-
-@pytest.mark.parametrize("value", ["1", "1.5", "inf", "nan", "-1e-9"])
-def test_tolerance_env_outside_unit_interval_is_rejected(tmp_path, capsys, monkeypatch, value):
-    path = tmp_path / "hom.json"
-    save_circuit(hom_circuit(), path)
-    monkeypatch.setenv("NOTOUCH_TOLERANCE", value)
-    code, out, err = run_cli(capsys, "verify", "--file", str(path), "--statistics", "boson")
-    assert code == 2
-    assert out == ""
-    assert err == f"error: NOTOUCH_TOLERANCE={value!r} must lie in [0, 1)\n"
-
-
-def test_tolerance_env_accepts_zero(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "hom.json"
-    save_circuit(hom_circuit(), path)
-    monkeypatch.setenv("NOTOUCH_TOLERANCE", "0")
-    code, out, _ = run_cli(capsys, "verify", "--file", str(path), "--statistics", "boson")
-    assert code == 1
-    doc = json.loads(out)
-    assert (doc["verdict"], doc["metadata"]["reporting_tolerance"]) == ("fail", 0.0)
 
 
 def test_run_csv_format(capsys):

@@ -15,6 +15,7 @@ import gzip
 import io
 import json
 import os
+import re
 import shlex
 import sys
 import tempfile
@@ -120,9 +121,13 @@ def test_golden_set_is_small_and_has_no_stray_files():
     assert sum(path.stat().st_size for path in GOLDEN.iterdir()) < 60_000
 
 
-def test_every_readme_command_is_a_golden_case():
+def _readme_commands() -> str:
     readme = (GOLDEN.parents[1] / "README.md").read_text()
-    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    return readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+
+
+def test_every_readme_command_is_a_golden_case():
+    block = _readme_commands()
     commands = [
         shlex.split(line, comments=True)
         for line in block.replace("\\\n", " ").splitlines()
@@ -131,6 +136,30 @@ def test_every_readme_command_is_a_golden_case():
     assert all(argv[0] == "notouch" for argv in commands)
     readme_cases = [argv for name, (argv, *_) in CASES.items() if name.startswith("readme_")]
     assert sorted(argv[1:] for argv in commands) == sorted(readme_cases)
+
+
+def test_the_readme_documents_only_what_the_cli_reads():
+    # every --option of the command block is one the parser defines, and
+    # every environment variable the README names is one cli.py reads
+    import argparse
+
+    from notouch import circuit, cli, engine, fock, paths
+
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    defined = {
+        option
+        for command in (parser, *commands.choices.values())
+        for action in command._actions
+        for option in action.option_strings
+    }
+    documented = set(re.findall(r"(?<!\S)--[a-z][a-z0-9-]*", _readme_commands()))
+    assert "--statistics" in documented and documented <= defined
+    readme = (GOLDEN.parents[1] / "README.md").read_text()
+    constants = {name for module in (circuit, cli, engine, fock, paths) for name in vars(module)}
+    source = Path(cli.__file__).read_text()
+    for name in set(re.findall(r"\b[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+\b", readme)) - constants:
+        assert re.search(rf"environ\b[^\n]*[\"']{name}[\"']", source), name
 
 
 if __name__ == "__main__":

@@ -118,6 +118,27 @@ def paired_circuit(rng) -> Circuit:
     )
 
 
+def dense_circuit(k, rng):
+    """k particles on k * k modes in blocks of k, a Haar gate on every block;
+    mode i of input block j goes to mode j of output block i, so every
+    particle reaches every target pair, the first two modes of each output
+    block.  Each accepted pattern has k! histories, and some histories
+    collide."""
+    blocks = tuple(tuple(range(j * k + 1, j * k + k + 1)) for j in range(k))
+    return Circuit(
+        num_modes=k * k,
+        input_subsystems=blocks,
+        injections=tuple(block[0] for block in blocks),
+        input_stage=tuple(LocalUnitary(block, _haar(rng, k)) for block in blocks),
+        permutation=permutation_from_one_line(
+            [(m - 1) % k * k + (m - 1) // k + 1 for m in range(1, k * k + 1)]
+        ),
+        output_stage=tuple(LocalUnitary(block, _haar(rng, k)) for block in blocks),
+        output_subsystems=blocks,
+        target_pairs=tuple(block[:2] for block in blocks),
+    )
+
+
 def transfer_matrix(c: Circuit) -> np.ndarray:
     """``T[dest - 1, src - 1]``: amplitude of one particle going src -> dest."""
     n = c.num_modes
@@ -153,6 +174,15 @@ def oracle_amplitudes(c: Circuit, stat) -> dict:
         key = tuple(sorted(finals))
         sums[key] = sums.get(key, 0.0) + amp * stat.reorder_phase(count_inversions(finals))
     return sums
+
+
+def one_per_pair(c: Circuit, modes) -> bool:
+    """Post-selection, written out: every final mode lies in a target pair and
+    every target pair holds exactly one of them."""
+    pair_modes = {m for pair in c.target_pairs for m in pair}
+    return set(modes) <= pair_modes and all(
+        (a in modes) + (b in modes) == 1 for a, b in c.target_pairs
+    )
 
 
 def oracle_labelled(c: Circuit) -> dict:
@@ -205,7 +235,7 @@ def _gate_chain(c: Circuit, stat):
 def _max_gap(state, reference: dict, labelled: bool = False) -> float:
     got = {(modes, species) if labelled else modes: amp for modes, species, amp in state.items()}
     keys = set(got) | set(reference)
-    return max(abs(got.get(k, 0.0) - reference.get(k, 0.0)) for k in keys)
+    return max((abs(got.get(k, 0.0) - reference.get(k, 0.0)) for k in keys), default=0.0)
 
 
 def _reversed_stages(c: Circuit) -> Circuit:
@@ -214,12 +244,24 @@ def _reversed_stages(c: Circuit) -> Circuit:
     )
 
 
+def _check_accepted(c: Circuit, out, oracle: dict, labelled: bool = False) -> None:
+    """``accepted`` equals the oracle terms that ``one_per_pair`` keeps, and
+    ``probability`` their squared norm."""
+    kept = {
+        key: amp for key, amp in oracle.items() if one_per_pair(c, key[0] if labelled else key)
+    }
+    assert _max_gap(out.accepted, kept, labelled) <= TOL
+    assert abs(out.probability - sum(abs(amp) ** 2 for amp in kept.values())) <= TOL
+
+
 def check_against_oracle(c: Circuit) -> None:
     flipped = _reversed_stages(c)
     for stat in STATS:
         out = run(c, stat)
         pre = out.pre_selection
-        assert _max_gap(pre, oracle_amplitudes(c, stat)) <= TOL, stat
+        oracle = oracle_amplitudes(c, stat)
+        assert _max_gap(pre, oracle) <= TOL, stat
+        _check_accepted(c, out, oracle)
         assert abs(norm(pre) ** 2 + pre.escaped - 1.0) <= TOL
         amplitudes = {modes: amp for modes, _, amp in pre.items()}
         assert _max_gap(run(flipped, stat).pre_selection, amplitudes) <= TOL, stat
@@ -228,7 +270,9 @@ def check_against_oracle(c: Circuit) -> None:
             assert _max_gap(pre, chain) <= TOL, stat
     out_d = run_distinguishable(c)
     pre_d = out_d.pre_selection
-    assert _max_gap(pre_d, oracle_labelled(c), labelled=True) <= TOL
+    oracle_d = oracle_labelled(c)
+    assert _max_gap(pre_d, oracle_d, labelled=True) <= TOL
+    _check_accepted(c, out_d, oracle_d, labelled=True)
     assert abs(norm(pre_d) ** 2 + pre_d.escaped - 1.0) <= TOL
     flipped_d = run_distinguishable(flipped).pre_selection
     labelled = {(modes, species): amp for modes, species, amp in pre_d.items()}
@@ -238,6 +282,28 @@ def check_against_oracle(c: Circuit) -> None:
 @pytest.mark.parametrize("seed", range(24))
 def test_random_circuits_match_transfer_matrix_oracle(seed):
     check_against_oracle(random_circuit(np.random.default_rng(1000 + seed)))
+
+
+@pytest.mark.parametrize(
+    "c",
+    [pytest.param(paired_circuit(np.random.default_rng(2000 + seed)), id=f"paired{seed}")
+     for seed in range(24)]
+    + [pytest.param(dense_circuit(k, np.random.default_rng(3000 + k)), id=f"dense{k}")
+       for k in (2, 3)],
+)
+def test_accepting_circuits_match_transfer_matrix_oracle(c):
+    check_against_oracle(c)
+
+
+def test_the_accepted_oracle_check_is_not_vacuous():
+    # the oracle gives every paired and dense circuit accepted weight under
+    # every statistics, so each of them checks a nonempty ``accepted``
+    circuits = [paired_circuit(np.random.default_rng(2000 + seed)) for seed in range(24)]
+    circuits += [dense_circuit(k, np.random.default_rng(3000 + k)) for k in (2, 3)]
+    for c in circuits:
+        for stat in STATS:
+            oracle = oracle_amplitudes(c, stat)
+            assert sum(abs(amp) ** 2 for m, amp in oracle.items() if one_per_pair(c, m)) > TOL
 
 
 @pytest.mark.parametrize("seed", range(24))

@@ -8,6 +8,7 @@ import pytest
 
 from notouch.circuit import (
     Circuit,
+    LocalUnitary,
     bell_circuit,
     ghz_circuit,
     hadamard_gate,
@@ -28,6 +29,7 @@ from notouch.analysis import correlation_table
 from notouch.errors import (
     DimensionMismatch,
     InvalidCircuit,
+    NoTouchError,
     PatternMismatch,
     ZeroState,
 )
@@ -341,6 +343,32 @@ def test_library_calls_raise_their_errors(call, error, message):
     with pytest.raises(error) as caught:
         call()
     assert str(caught.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [((1, 0), (0, 1)), [[1, 0], [0, 1]], np.eye(2), ("a", 0), ("1", 0), 1, None],
+    ids=["nested-tuple", "nested-list", "2d-array", "text", "numeric-text", "scalar", "none"],
+)
+def test_a_qubit_state_takes_only_a_flat_sequence_of_numbers(values):
+    with pytest.raises(NoTouchError, match="qubit amplitudes must be a flat sequence of numbers"):
+        QubitState(1, values)
+
+
+def test_every_qubit_state_input_becomes_python_complex():
+    for values in ((1, 0), [1, 0.0], np.array([1, 0]), (np.float64(1), np.int64(0))):
+        state = QubitState(1, values)
+        assert state.values == (1 + 0j, 0j) and all(type(z) is complex for z in state.values)
+
+
+def test_apply_gate_skips_a_matrix_element_of_exactly_zero():
+    # the swap's diagonal is exactly 0, so each particle takes one branch
+    swap = LocalUnitary((1, 2), [[0, 1], [1, 0]])
+    for stat in (BOSON, FERMION, anyon(0.7), None):
+        state = FockState(3, {((1, 3), None if stat else (1, 2)): 1.0})
+        out = apply_gate(state, swap, stat)
+        assert list(out.items()) == [((2, 3), None if stat else (1, 2), 1)]
+        assert out.escaped == 0
 
 
 def test_collision_raise_mode():

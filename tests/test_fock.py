@@ -163,6 +163,13 @@ def test_state_prunes_tiny_amplitudes():
     assert s.num_terms == 1
 
 
+def test_repr_shows_labels_and_escaped_weight():
+    labelled = FockState(4, {((1, 3), (2, 1)): 0.5j, ((1, 3), (1, 2)): 1.0})
+    assert repr(labelled) == "FockState(4 modes, {(1, 3)/(1, 2): 1+0j, (1, 3)/(2, 1): 0+0.5j})"
+    escaped = FockState(2, {((2,), None): -0.6}, escaped=0.64)
+    assert repr(escaped) == "FockState(2 modes, {(2,): -0.6+0j}, escaped=0.64)"
+
+
 def test_state_rejects_bad_terms():
     with pytest.raises(DuplicateMode):
         FockState(3, {((2, 2), None): 1.0})

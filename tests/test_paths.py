@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -7,9 +8,11 @@ from test_differential import paired_circuit, random_circuit
 import notouch.paths
 from notouch.circuit import (
     Circuit,
+    LocalUnitary,
     _ghz_ring,
     bell_circuit,
     ghz_circuit,
+    hadamard_gate,
     hom_circuit,
     permutation_from_one_line,
     w_circuit,
@@ -127,7 +130,7 @@ def test_ring_verification_streams_the_walk(stat, monkeypatch):
     assert (report.histories_total, report.histories_checked) == (1024, 2)
 
 
-def _filtered_report(circuit, stat, post_select, tolerance, touch_events=_touch_events):
+def _filtered_report(circuit, stat, post_select, touch_events=_touch_events):
     histories = enumerate_histories(circuit, stat)
     pair_modes = {m for pair in circuit.target_pairs for m in pair}
 
@@ -137,27 +140,26 @@ def _filtered_report(circuit, stat, post_select, tolerance, touch_events=_touch_
             counts[a] + counts[b] == 1 for a, b in circuit.target_pairs
         )
 
-    # post-selection checks every accepted history of nonzero amplitude
-    floor = 0.0 if post_select else tolerance
+    # both walks check every history of nonzero amplitude
     checked = [
-        h
-        for h in histories
-        if abs(h.amplitude) > floor and (not post_select or accepted(h.final_modes))
+        h for h in histories if h.amplitude and (not post_select or accepted(h.final_modes))
     ]
     events = tuple(ev for h in checked for ev in touch_events(h, circuit))
     return TouchReport(not events, events, len(histories), len(checked))
 
 
-@pytest.mark.parametrize("tolerance", [1e-12, 0.2])  # 0.2 drops some w histories
+@pytest.mark.parametrize("floor", [1e-12, 0.2])  # 0.2 lies above some w histories
 @pytest.mark.parametrize("post_select", [True, False])
 @pytest.mark.parametrize("stat", ALL_STATS)
 @pytest.mark.parametrize("builder", [bell_circuit, ghz_circuit, w_circuit, hom_circuit])
-def test_verifier_equals_a_filter_over_all_histories(builder, stat, post_select, tolerance):
+def test_verifier_equals_a_filter_over_all_histories(builder, stat, post_select, floor):
     circuit = builder()
-    report = verify_no_touching(
-        circuit, stat, post_select=post_select, amplitude_tolerance=tolerance
-    )
-    assert report == _filtered_report(circuit, stat, post_select, tolerance)
+    report = verify_no_touching(circuit, stat, post_select=post_select)
+    assert report == _filtered_report(circuit, stat, post_select)
+    # no absolute amplitude floor hides a touching history
+    small = [h for h in enumerate_histories(circuit, stat) if 0 < abs(h.amplitude) <= floor]
+    found = {event.history for event in report.counterexamples}
+    assert post_select or all(h in found for h in small if _touch_events(h, circuit))
 
 
 def _all_stage_touch_events(history, circuit):
@@ -185,10 +187,8 @@ def test_output_stage_rule_equals_the_all_stage_rule(make, stat):
     for seed in range(100):
         circuit = make(np.random.default_rng(seed))
         for post_select in (True, False):
-            report = verify_no_touching(
-                circuit, stat, post_select=post_select, amplitude_tolerance=0.0
-            )
-            oracle = _filtered_report(circuit, stat, post_select, 0.0, _all_stage_touch_events)
+            report = verify_no_touching(circuit, stat, post_select=post_select)
+            oracle = _filtered_report(circuit, stat, post_select, _all_stage_touch_events)
             assert report == oracle
             assert report.passed or not post_select
 
@@ -243,12 +243,11 @@ def test_post_selection_checks_accepted_histories_of_any_magnitude():
 )
 def test_a_post_selected_report_takes_no_tolerance(make, stat):
     circuit = make()
-    reports = [
-        verify_no_touching(circuit, stat, amplitude_tolerance=tolerance)
-        for tolerance in (0.0, 1e-12, 0.3, 0.99)
-    ]
-    assert all(report == reports[0] for report in reports)
-    assert reports[0].passed and reports[0].histories_checked > 0
+    report = verify_no_touching(circuit, stat)
+    assert report == _filtered_report(circuit, stat, True)
+    assert report.passed and report.histories_checked > 0
+    with pytest.raises(TypeError):
+        verify_no_touching(circuit, stat, amplitude_tolerance=0.3)
 
 
 @pytest.mark.parametrize("stat", ALL_STATS)
@@ -261,7 +260,29 @@ def test_the_cut_verifier_equals_the_all_stage_filter(stat):
         for seed in range(100, 150)
     ]
     for circuit in circuits:
-        for tolerance in (0.0, 1e-12):
-            report = verify_no_touching(circuit, stat, amplitude_tolerance=tolerance)
-            oracle = _filtered_report(circuit, stat, True, tolerance, _all_stage_touch_events)
-            assert report == oracle
+        report = verify_no_touching(circuit, stat)
+        assert report == _filtered_report(circuit, stat, True, _all_stage_touch_events)
+
+
+@pytest.mark.parametrize("stat", ALL_STATS)
+def test_the_accept_all_walk_checks_a_touching_history_of_any_magnitude(stat):
+    # particle 1 reaches mode 2 with amplitude 1e-13 and then meets particle
+    # 2 in the output gate on (2, 3); every other history keeps them apart
+    s = 1e-13
+    tilt = LocalUnitary((1, 2), [[math.sqrt(1 - s * s), -s], [s, math.sqrt(1 - s * s)]])
+    circuit = Circuit(
+        num_modes=4,
+        input_subsystems=((1, 2), (3, 4)),
+        injections=(1, 3),
+        input_stage=(tilt,),
+        permutation=permutation_from_one_line([1, 2, 3, 4]),
+        output_stage=(hadamard_gate(2, 3),),
+        output_subsystems=((1, 4), (2, 3)),
+        target_pairs=((1, 4), (2, 3)),
+    )
+    report = verify_no_touching(circuit, stat, post_select=False)
+    assert report.verdict == "fail"
+    assert (report.histories_total, report.histories_checked) == (6, 6)
+    assert all(0 < abs(ev.history.amplitude) < 1e-12 for ev in report.counterexamples)
+    assert "gate on modes (2, 3)" in {ev.location for ev in report.counterexamples}
+    assert verify_no_touching(circuit, stat).passed

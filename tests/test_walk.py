@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from test_differential import _haar, paired_circuit, random_circuit
+from test_differential import dense_circuit, paired_circuit, random_circuit
 
 from notouch.circuit import (
     Circuit,
@@ -74,27 +74,6 @@ def no_particle_one_pair():
         output_stage=(),
         output_subsystems=((1, 2),),
         target_pairs=((1, 2),),
-    )
-
-
-def dense_circuit(k, rng):
-    """k particles on k * k modes in blocks of k, a Haar gate on every block;
-    mode i of input block j goes to mode j of output block i, so every
-    particle reaches every target pair, the first two modes of each output
-    block.  Each accepted pattern has k! histories, and some histories
-    collide."""
-    blocks = tuple(tuple(range(j * k + 1, j * k + k + 1)) for j in range(k))
-    return Circuit(
-        num_modes=k * k,
-        input_subsystems=blocks,
-        injections=tuple(block[0] for block in blocks),
-        input_stage=tuple(LocalUnitary(block, _haar(rng, k)) for block in blocks),
-        permutation=permutation_from_one_line(
-            [(m - 1) % k * k + (m - 1) // k + 1 for m in range(1, k * k + 1)]
-        ),
-        output_stage=tuple(LocalUnitary(block, _haar(rng, k)) for block in blocks),
-        output_subsystems=blocks,
-        target_pairs=tuple(block[:2] for block in blocks),
     )
 
 
@@ -163,12 +142,12 @@ def reference_histories(c, statistics):
     return [reference_history(*history, statistics) for history in product_walk(c)]
 
 
-def reference_verify(c, statistics, post_select, tolerance=1e-12):
+def reference_verify(c, statistics, post_select):
     accepted = _acceptance_rule(c.target_pairs)
     events, total, checked = [], 0, 0
     for paths, finals, amplitude in product_walk(c):
         total += 1
-        if abs(amplitude) <= tolerance or (post_select and not accepted(finals)):
+        if amplitude == 0 or (post_select and not accepted(finals)):
             continue
         checked += 1
         events.extend(_touch_events(reference_history(paths, finals, amplitude, statistics), c))
