@@ -177,10 +177,15 @@ def chsh_grid_max(
     lies in [2 g_b[0] + (r+ + r-) cos(pi/n) - m, 2 g_b[0] + r+ + r- + m] with
     margin m = 4 eta + 1e-12, and only pairs whose upper bound reaches the
     best lower bound can hold the maximum.  Their totals are computed exactly
-    as a full scan would, in bounded chunks, and every exact tie survives
-    the filter, so the result equals the full search: the first maximum in
-    (b, b', a, a') order of this evaluator's grid values.  A surface that is
-    far from bilinear has a large eta and simply lets every pair through.
+    as a full scan would, and every exact tie survives the filter, so the
+    result equals the full search: the first maximum in (b, b', a, a') order
+    of this evaluator's grid values.  A surface that is far from bilinear has
+    a large eta and simply lets every pair through.  R is fitted by the
+    closed-form projection onto f, the least-squares fit on an even turn of
+    n >= 3 angles; for n <= 2 it is another fit, and the bounds still hold
+    because eta is measured against the same g.  The scan keeps one n x n
+    float array, the grid values; every other n x n step runs in row blocks
+    of at most 2**13 cells.
     With ``refine`` set, coordinate sweeps polish the grid optimum: each
     angle in turn moves to the first maximum of 65 even offsets in [-h, h].
     h starts at 2 pi / n, a sweep that does not raise the value divides it
@@ -192,24 +197,30 @@ def chsh_grid_max(
     n = max(1, round(360.0 / resolution_deg))  # coarser than 360 degrees: one angle
     angles = np.arange(n) * (2.0 * np.pi / n)
     evaluate = CorrelationEvaluator(out, pairs)
-    columns = evaluate(angles[None, :], angles[:, None])  # columns[b, a] = E(a, b)
+    step = max(1, 2**13 // n)  # rows per block of at most 2**13 cells
+    blocks = [slice(start, start + step) for start in range(0, n, step)]
+    columns = np.empty((n, n))  # columns[b, a] = E(a, b)
+    for rows in blocks:
+        columns[rows] = evaluate(angles[None, :], angles[rows, None])
 
     basis = np.stack([np.ones(n), np.cos(angles), np.sin(angles)], axis=1)
-    fit = np.linalg.pinv(basis)
+    fit = basis.T * [[1.0], [2.0], [2.0]] / n  # least squares on an even turn of n >= 3
     g = basis @ (fit @ columns @ fit.T)  # g[b] = R f(b)
-    margin = 4.0 * np.abs(columns - g @ basis.T).max() + 1e-12
+    margin = 4.0 * max(np.abs(columns[rows] - g[rows] @ basis.T).max() for rows in blocks) + 1e-12
     z = g[:, 1] + 1j * g[:, 2]  # the (cos, sin) part of each g_b
-    spread = np.abs(z[:, None] + z)
-    spread += np.abs(z[:, None] - z)
     centre = 2.0 * g[:, :1]
-    best_lower = (centre + spread * np.cos(np.pi / n)).max() - margin
-    survivors = np.flatnonzero(centre + spread + margin >= best_lower)
-    del spread
+    def spread(rows):  # r+ + r- for the pairs (b, b') with b in rows
+        return np.abs(z[rows, None] + z) + np.abs(z[rows, None] - z)
+
+    lower = max((centre[rows] + spread(rows) * np.cos(np.pi / n)).max() for rows in blocks)
+    survivors = np.concatenate([
+        rows.start * n + np.flatnonzero(centre[rows] + spread(rows) + margin >= lower - margin)
+        for rows in blocks
+    ])
 
     best, best_index = -np.inf, 0
-    chunk = max(1, 2**16 // n)
-    for start in range(0, len(survivors), chunk):
-        b, bp = np.divmod(survivors[start : start + chunk], n)
+    for start in range(0, len(survivors), step):
+        b, bp = np.divmod(survivors[start : start + step], n)
         totals = (columns[b] + columns[bp]).max(axis=1)
         totals += (columns[b] - columns[bp]).max(axis=1)
         i = int(totals.argmax())

@@ -23,15 +23,16 @@ class QubitState:
     values: tuple = field(repr=False)
 
     def __post_init__(self):
+        count = self.num_qubits
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise DimensionMismatch(f"num_qubits must be an int >= 0, got {count!r}")
         values = self.values.tolist() if hasattr(self.values, "tolist") else self.values
         flat = isinstance(values, (list, tuple)) and all(isinstance(z, Number) for z in values)
         if not flat:
             raise NoTouchError("qubit amplitudes must be a flat sequence of numbers")
         object.__setattr__(self, "values", tuple(map(complex, values)))
-        if len(self.values) != 2**self.num_qubits:
-            raise DimensionMismatch(
-                f"expected {2**self.num_qubits} amplitudes, got {len(self.values)}"
-            )
+        if len(self.values) != 2**count:
+            raise DimensionMismatch(f"expected {2**count} amplitudes, got {len(self.values)}")
 
     @classmethod
     def _from_values(cls, num_qubits: int, values: tuple) -> "QubitState":

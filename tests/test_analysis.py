@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -432,6 +433,46 @@ def test_chsh_grid_scan_equals_looped_search(resolution):
     for out, pairs in cases:
         got = chsh_grid_max(out, pairs, resolution_deg=resolution)
         assert got == _looped_chsh_grid_max(out, pairs, resolution)
+
+
+@pytest.mark.parametrize("resolution", [1000.0, 180.0, 120.0])  # n = 1, 2, 3 angles
+def test_chsh_grid_scan_with_at_most_three_angles_equals_looped_search(resolution):
+    # for n <= 2 the scan's closed-form fit is not least squares; the filter
+    # must still let every maximum through
+    cases = [(out, PAIRS) for out in _runs(bell_circuit())]
+    cases += [
+        (run(circuit, FERMION), circuit.target_pairs)
+        for circuit in (synthesize_two_qubit(t, FERMION) for t in _random_targets(53, 2))
+    ]
+    product = synthesize_two_qubit(QubitState(2, np.array([1, 0, 0, 0])), BOSON)
+    cases.append((run(product, BOSON), product.target_pairs))
+    cases.append(_interleaved_anyon_run())
+    for out, pairs in cases:
+        got = chsh_grid_max(out, pairs, resolution_deg=resolution)
+        # the oracle rounds a resolution above 720 degrees to no angle at all
+        assert got == _looped_chsh_grid_max(out, pairs, min(resolution, 360.0))
+
+
+@pytest.mark.parametrize("n", [3, 4, 37, 360])
+def test_the_scan_fit_is_the_least_squares_projection(n):
+    angles = np.arange(n) * (2.0 * np.pi / n)
+    basis = np.stack([np.ones(n), np.cos(angles), np.sin(angles)], axis=1)
+    closed_form = basis.T * [[1.0], [2.0], [2.0]] / n  # the projection chsh_grid_max uses
+    assert np.abs(closed_form - np.linalg.pinv(basis)).max() <= 1e-15
+
+
+def test_chsh_grid_scan_keeps_one_grid_in_memory():
+    circuit = synthesize_two_qubit(next(_random_targets(61, 1)), BOSON)
+    out = run(circuit, BOSON)
+    # 8 n^2 bytes is the grid of n^2 float64 values, n = 1440 at 0.25 degrees
+    for resolution, bound in ((1.0, 2e6), (0.25, 1.5 * 8 * 1440**2 + 0.5e6)):
+        tracemalloc.start()
+        try:
+            chsh_grid_max(out, circuit.target_pairs, resolution, refine=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (resolution, peak)
 
 
 def _correlation_matrix(target):

@@ -355,6 +355,16 @@ def test_a_qubit_state_takes_only_a_flat_sequence_of_numbers(values):
         QubitState(1, values)
 
 
+@pytest.mark.parametrize(
+    "num_qubits, values",
+    [(2.0, [0.5] * 4), (True, [1, 0]), ("a", [1]), (-1, [1]), (None, [1])],
+    ids=["float", "bool", "text", "negative", "none"],
+)
+def test_a_qubit_state_takes_only_a_non_negative_int_count(num_qubits, values):
+    with pytest.raises(NoTouchError, match="num_qubits must be an int >= 0"):
+        QubitState(num_qubits, values)
+
+
 def test_every_qubit_state_input_becomes_python_complex():
     for values in ((1, 0), [1, 0.0], np.array([1, 0]), (np.float64(1), np.int64(0))):
         state = QubitState(1, values)
