@@ -5,8 +5,9 @@ particles (bosons, fermions or abelian anyons) purely through path
 indistinguishability and post-selection, and mechanically verifies that the
 accepted events never bring two particles together.
 
-Importing the package loads no numpy: the ``analysis`` names load it on first
-use, as do ``synthesize_two_qubit`` and the first ``.matrix`` or ``.amplitudes``.
+Importing the package loads no numpy, nor do synthesis and ``fidelity``: the
+vectorized ``analysis`` functions load it on first call, as does the first
+``.matrix`` or ``.amplitudes``.
 """
 
 __version__ = "0.1.0"

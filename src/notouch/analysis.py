@@ -13,8 +13,6 @@ from __future__ import annotations
 import itertools
 from typing import Sequence, Tuple
 
-import numpy as np
-
 from .engine import RunOutput
 from .errors import DimensionMismatch, PatternMismatch, ZeroProbability
 from .paths import _acceptance_rule, _canonical
@@ -23,12 +21,10 @@ from .qubits import QubitState
 Pair = Tuple[int, int]
 
 
-# One pair's product of two half-angle factors, indexed [u, v] with 0 for
+# One pair's product of two half-angle factors, in row 2 u + v with 0 for
 # cos(theta/2) and 1 for sin(theta/2), over the basis (1, cos theta, sin
 # theta): cos^2 = (1 + cos)/2, sin^2 = (1 - cos)/2, cos sin = sin/2.
-_HALF_PRODUCTS = np.array(
-    [[[0.5, 0.5, 0.0], [0.0, 0.0, 0.5]], [[0.0, 0.0, 0.5], [0.5, -0.5, 0.0]]]
-).reshape(4, 3)
+_HALF_PRODUCTS = ((0.5, 0.5, 0.0), (0.0, 0.0, 0.5), (0.0, 0.0, 0.5), (0.5, -0.5, 0.0))
 
 
 class CorrelationEvaluator:
@@ -50,6 +46,7 @@ class CorrelationEvaluator:
     """
 
     def __init__(self, out: RunOutput, pairs: Sequence[Pair]):
+        import numpy as np
         pairs = [tuple(pair) for pair in pairs]
         _acceptance_rule(pairs)  # PatternMismatch unless disjoint pairs of two modes
         if out.probability <= 0.0:
@@ -101,6 +98,7 @@ class CorrelationEvaluator:
         Equal-shaped arrays give a list of settings; arrays shaped for
         broadcasting (``t1[:, None], t2[None, :]``) give a separable grid.
         """
+        import numpy as np
         if len(thetas) != self.num_pairs:
             raise DimensionMismatch("one measurement setting per rail pair required")
         thetas = [np.asarray(theta, dtype=float) for theta in thetas]
@@ -128,6 +126,7 @@ def correlation_table(
     pairs: Sequence[Pair],
 ) -> list[Tuple[float, float, float]]:
     """Correlation on a two-angle grid, rows in (theta1-major) grid order."""
+    import numpy as np
     if len(pairs) != 2:
         raise DimensionMismatch("a correlation table needs exactly two rail pairs")
     t1 = np.asarray(thetas1, dtype=float)
@@ -140,6 +139,7 @@ def correlation_table(
 
 def _chsh(evaluate: CorrelationEvaluator, settings) -> np.ndarray:
     """CHSH combination at each row (a, a', b, b') of ``settings``."""
+    import numpy as np
     angles = np.asarray(settings, dtype=float).T  # rows a, a', b, b'
     e = evaluate(angles[[0, 0, 1, 1]], angles[[2, 3, 2, 3]])
     return e[0] + e[1] + e[2] - e[3]
@@ -192,6 +192,7 @@ def chsh_grid_max(
     by 16, and the search stops at h <= 1e-9 rad.  The first maximum moves
     a flat angle by -h, which lets a search that starts on a saddle leave it.
     """
+    import numpy as np
     if not 0 < resolution_deg < np.inf:
         raise ValueError(f"resolution_deg must be finite and positive, got {resolution_deg!r}")
     n = max(1, round(360.0 / resolution_deg))  # coarser than 360 degrees: one angle
@@ -213,19 +214,17 @@ def chsh_grid_max(
         return np.abs(z[rows, None] + z) + np.abs(z[rows, None] - z)
 
     lower = max((centre[rows] + spread(rows) * np.cos(np.pi / n)).max() for rows in blocks)
-    survivors = np.concatenate([
-        rows.start * n + np.flatnonzero(centre[rows] + spread(rows) + margin >= lower - margin)
-        for rows in blocks
-    ])
-
     best, best_index = -np.inf, 0
-    for start in range(0, len(survivors), step):
-        b, bp = np.divmod(survivors[start : start + step], n)
-        totals = (columns[b] + columns[bp]).max(axis=1)
-        totals += (columns[b] - columns[bp]).max(axis=1)
-        i = int(totals.argmax())
-        if totals[i] > best:
-            best, best_index = float(totals[i]), int(survivors[start + i])
+    for rows in blocks:  # each block's survivors, scored step pairs at a time
+        keep = centre[rows] + spread(rows) + margin >= lower - margin
+        found = rows.start * n + np.flatnonzero(keep)
+        for chunk in (found[start : start + step] for start in range(0, len(found), step)):
+            b, bp = np.divmod(chunk, n)
+            totals = (columns[b] + columns[bp]).max(axis=1)
+            totals += (columns[b] - columns[bp]).max(axis=1)
+            i = int(totals.argmax())
+            if totals[i] > best:
+                best, best_index = float(totals[i]), int(chunk[i])
     b, bp = divmod(best_index, n)
     a = int((columns[b] + columns[bp]).argmax())
     ap = int((columns[b] - columns[bp]).argmax())
@@ -254,7 +253,7 @@ def fidelity(state: QubitState, target: QubitState) -> float:
     """Squared overlap of two normalized qubit states."""
     if state.num_qubits != target.num_qubits:
         raise DimensionMismatch("states must have the same number of qubits")
-    return float(abs(np.vdot(target.amplitudes, state.amplitudes)) ** 2)
+    return abs(sum(t.conjugate() * z for t, z in zip(target.values, state.values))) ** 2
 
 
 def three_tangle(state: QubitState) -> float:
@@ -263,6 +262,7 @@ def three_tangle(state: QubitState) -> float:
     Positive for the GHZ entanglement class, zero for the W class and for
     product states; invariant under local unitaries.
     """
+    import numpy as np
     if state.num_qubits != 3:
         raise DimensionMismatch("the tangle is defined for three qubits")
     # Cayley's hyperdeterminant of the 2x2x2 amplitude tensor

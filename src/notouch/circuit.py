@@ -235,10 +235,13 @@ def complete_unitary(first_column) -> Tuple[Tuple[complex, ...], ...]:
         if len(columns) == n:
             break
         cand = [complex(i == idx) for i in range(n)]
-        for prev in columns:
-            dot = sum((p.conjugate() * z for p, z in zip(prev, cand)), 0j)
-            cand = [z - dot * p for z, p in zip(cand, prev)]
-        nrm = math.sqrt(sum(abs(z) ** 2 for z in cand))
+        for _ in range(2):  # a short remainder lost digits to cancellation: project it again
+            for prev in columns:
+                dot = sum((p.conjugate() * z for p, z in zip(prev, cand)), 0j)
+                cand = [z - dot * p for z, p in zip(cand, prev)]
+            nrm = math.sqrt(sum(abs(z) ** 2 for z in cand))
+            if nrm >= 0.5:
+                break
         if nrm < 1e-9:
             continue
         cand = [z * (1.0 / nrm) for z in cand]
@@ -339,22 +342,35 @@ def synthesize_two_qubit(target: QubitState, statistics: Statistics) -> Circuit:
     phase picked up when the accepted pattern is reordered is folded into the
     input column so the synthesized state matches the target for the given
     statistics.
+
+    The Schmidt step M = sum_k lam_k u_k v_k^dagger is in closed form: lam_k^2
+    are the eigenvalues of H = M M^dagger, lam_1 = |det M| / lam_0, u_0 is the
+    top eigenvector of H (u = I when H is a multiple of I), and row 0 of
+    v^dagger is u_0^dagger M / lam_0.  u_1 and row 1 are orthogonal completions,
+    row 1 times det M / |det M|, so a product target (lam_1 = 0) gets the plain row.
     """
-    import numpy as np
     if target.num_qubits != 2:
         raise NotNormalized("synthesis target must be a two-qubit state")
-    if abs(math.sqrt(sum(abs(z) ** 2 for z in target.values)) - 1.0) > 1e-9:
+    if not abs(math.sqrt(sum(abs(z) ** 2 for z in target.values)) - 1.0) <= 1e-9:  # nan too
         raise NotNormalized("synthesis target must be normalized")
 
-    m = target.amplitudes.reshape(2, 2)
-    u, lam, vh = np.linalg.svd(m)
-    # target = sum_k lam[k] * u[:, k] (x) conj(v)[:, k], conj(v) = vh.T
-    w1 = u
-    w2 = vh.T
+    a, b, c, d = target.values  # M = [[a, b], [c, d]], H = [[p, q], [conj(q), r]]
+    p, r = abs(a) ** 2 + abs(b) ** 2, abs(c) ** 2 + abs(d) ** 2
+    q = a * c.conjugate() + b * d.conjugate()
+    det = a * d - b * c
+    half_gap = math.hypot((p - r) / 2, abs(q))
+    lam0 = math.sqrt((p + r) / 2 + half_gap)
+    lam1 = min(lam0, abs(det) / lam0)  # keeps a degenerate pair equal and descending
+    x, y = ((p - r) / 2 + half_gap, q.conjugate()) if p >= r else (q, (r - p) / 2 + half_gap)
+    size = math.hypot(abs(x), abs(y))
+    x, y = (x / size, y / size) if size else (1, 0)  # u_0; the orthogonal u_1 completes w1
+    v0, v1 = ((x.conjugate() * m0 + y.conjugate() * m1) / lam0 for m0, m1 in ((a, c), (b, d)))
+    phase = det / abs(det) if det else 1
+    w1 = ((x, -y.conjugate()), (y, x.conjugate()))
+    w2 = ((v0, 0 - phase * v1.conjugate()), (v1, phase * v0.conjugate()))  # vh.T; 0 - z: no -0.0
 
     s = statistics.reorder_phase(1)
-    first_col = np.array([lam[0], np.conjugate(s) * lam[1]], dtype=complex)
-    prep = LocalUnitary((1, 2), complete_unitary(first_col))
+    prep = LocalUnitary((1, 2), complete_unitary([lam0, s.conjugate() * lam1]))
 
     bases = (LocalUnitary((1, 2), w1), LocalUnitary((3, 4), w2))
     return _ghz_ring(2, input_stage=(prep, hadamard_gate(3, 4)), output_stage=bases)

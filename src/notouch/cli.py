@@ -111,7 +111,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
-    from .analysis import correlation_table  # loads numpy, which run and verify never need
+    from .analysis import correlation_table  # its call loads numpy, which no other command does
 
     stat = None if args.distinguishable else Statistics.parse(args.statistics)
     circuit = _resolve_circuit(args.protocol)

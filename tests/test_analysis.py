@@ -306,7 +306,7 @@ def _scalar_correlation(out, thetas, pairs):
 
 def _looped_chsh_grid_max(out, pairs, resolution_deg):
     """The CHSH grid search as one pass per b, keeping the first strict maximum."""
-    n = int(round(360.0 / resolution_deg))
+    n = max(1, int(round(360.0 / resolution_deg)))
     angles = np.arange(n) * (2.0 * np.pi / n)
     e = CorrelationEvaluator(out, pairs)(angles[:, None], angles[None, :])
     best, best_idx = -np.inf, (0, 0, 0, 0)
@@ -449,8 +449,7 @@ def test_chsh_grid_scan_with_at_most_three_angles_equals_looped_search(resolutio
     cases.append(_interleaved_anyon_run())
     for out, pairs in cases:
         got = chsh_grid_max(out, pairs, resolution_deg=resolution)
-        # the oracle rounds a resolution above 720 degrees to no angle at all
-        assert got == _looped_chsh_grid_max(out, pairs, min(resolution, 360.0))
+        assert got == _looped_chsh_grid_max(out, pairs, resolution)
 
 
 @pytest.mark.parametrize("n", [3, 4, 37, 360])
@@ -473,6 +472,20 @@ def test_chsh_grid_scan_keeps_one_grid_in_memory():
         finally:
             tracemalloc.stop()
         assert peak <= bound, (resolution, peak)
+
+
+def test_chsh_grid_scan_keeps_one_grid_when_every_pair_survives():
+    # the interleaved surface is far from bilinear, so every (b, b') pair is
+    # scored; the survivors must stream instead of being stored
+    out, pairs = _interleaved_anyon_run()
+    n = 360
+    tracemalloc.start()
+    try:
+        chsh_grid_max(out, pairs, 360.0 / n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * n**2 + 0.5e6, peak
 
 
 def _correlation_matrix(target):

@@ -315,6 +315,11 @@ def test_synthesize_rejects_unnormalized():
         synthesize_two_qubit(QubitState(2, np.array([1.0, 1.0, 0, 0])), BOSON)
 
 
+def test_synthesize_rejects_a_nan_target():
+    with pytest.raises(NotNormalized):
+        synthesize_two_qubit(QubitState(2, [float("nan"), 0, 0, 0]), BOSON)
+
+
 def test_synthesize_is_idempotent_in_effect():
     rng = np.random.default_rng(21)
     for stat in (BOSON, FERMION, anyon(0.4)):
@@ -327,6 +332,55 @@ def test_synthesize_is_idempotent_in_effect():
         out2 = extract_dual_rail(run(second, stat).accepted, second.target_pairs)
         overlap = abs(np.vdot(out1.amplitudes, out2.amplitudes)) ** 2
         assert overlap >= 1 - 1e-9
+
+
+def _haar_unitary(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def _schmidt_targets():
+    """Seeded Haar targets and the edge cases of the closed-form Schmidt step."""
+    rng = np.random.default_rng(28)
+    for _ in range(200):
+        vec = rng.normal(size=4) + 1j * rng.normal(size=4)
+        yield vec / np.linalg.norm(vec)
+    s = 1 / np.sqrt(2)
+    yield np.array([0.6, 0.8j, 0, 0])  # product, lam_1 = 0
+    yield np.kron([0.6, 0.8], [s, 1j * s])  # product with no zero amplitude
+    yield np.array([s, 0, 0, s])  # Bell, lam_0 = lam_1
+    yield np.array([0, s, -s, 0])  # singlet
+    yield np.array([0.6, 0, 0, 0.8])  # diagonal, the larger value second
+    yield np.array([0, 0.8, 0.6, 0])  # anti-diagonal
+    yield np.array([0.6j, 0, 0, 0.8j])  # purely imaginary
+    yield 1j * np.array([0.1, 0.7, -0.5, 0.5])
+    small = np.diag([np.sqrt(1 - 1e-18), 1e-9])  # lam_1 = 1e-9
+    yield small.ravel()
+    for _ in range(20):
+        yield (_haar_unitary(rng) @ small @ _haar_unitary(rng)).ravel()
+
+
+def test_the_closed_form_schmidt_step_agrees_with_lapack():
+    for vec in _schmidt_targets():
+        circuit = synthesize_two_qubit(QubitState(2, vec), BOSON)
+        (lam0, _), (lam1, _) = circuit.input_stage[0].rows
+        lam = np.array([lam0.real, abs(lam1)])
+        u, w2 = (gate.matrix for gate in circuit.output_stage)  # w2 = vh.T
+        m = vec.reshape(2, 2)
+        assert lam[0] >= lam[1] >= 0
+        assert np.abs(lam - np.linalg.svd(m, compute_uv=False)).max() <= 1e-14, vec
+        for basis in (u, w2):
+            assert np.abs(basis.conj().T @ basis - np.eye(2)).max() <= 1e-14, vec
+        assert np.abs(u @ np.diag(lam) @ w2.T - m).max() <= 1e-14, vec
+
+
+def test_synthesis_reaches_every_schmidt_target_under_every_statistics():
+    for vec in _schmidt_targets():
+        target = QubitState(2, vec)
+        for stat in (BOSON, FERMION, anyon(0.7), anyon(2.1)):
+            circuit = synthesize_two_qubit(target, stat)
+            got = extract_dual_rail(run(circuit, stat).accepted, circuit.target_pairs)
+            assert abs(np.vdot(vec, got.amplitudes)) ** 2 >= 1 - 1e-12, (vec, stat)
 
 
 def test_mode_labels_must_be_integers():
@@ -462,3 +516,14 @@ def test_complete_unitary_matches_the_numpy_oracle():
             _complete_unitary_oracle(bad)
         with pytest.raises(NotNormalized):
             complete_unitary(bad)
+
+
+def test_complete_unitary_stays_unitary_next_to_a_basis_vector():
+    # the first candidate keeps only a 1e-9 remainder, which cancellation
+    # leaves far from orthogonal after a single projection
+    for small in (1e-9, 3e-9 * np.exp(0.4j), 1e-6j):
+        big = np.sqrt(1 - abs(small) ** 2)
+        for col in ([big, small], [small, 0, big]):
+            got = np.array(complete_unitary(col))
+            assert np.abs(got[:, 0] - col).max() == 0
+            assert np.abs(got.conj().T @ got - np.eye(len(col))).max() <= 1e-14, col

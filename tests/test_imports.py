@@ -1,4 +1,5 @@
-"""numpy stays off the run and verify path; the analysis names load it lazily."""
+"""numpy stays off the run, verify and synthesize path; the vectorized analysis names load it
+lazily, and no Bell pipeline step calls numpy.linalg."""
 
 import os
 import subprocess
@@ -43,6 +44,27 @@ table = notouch.correlation_table(run(bell, BOSON), [0.0], [0.0], bell.target_pa
 print(table, "numpy" in sys.modules)
 """
 
+SYNTHESIS_WITHOUT_NUMPY = """
+import contextlib, io, sys
+from notouch import FERMION, QubitState, anyon, cli, extract_dual_rail, run, synthesize_two_qubit
+from notouch.analysis import fidelity
+target = QubitState(2, [0.6, 0.0, 0.48j, 0.64])
+fidelities = []
+for stat in (FERMION, anyon(2.1)):
+    c = synthesize_two_qubit(target, stat)
+    fidelities.append(fidelity(extract_dual_rail(run(c, stat).accepted, c.target_pairs), target))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["synthesize", "--target", "0.6,0,0.48j,0.64", "--statistics", "boson",
+                     "--out", "synthesized.json"])
+print(code, [round(f, 12) for f in fidelities], "numpy" in sys.modules)
+"""
+
+LOADS_NUMPY = {
+    "correlation_table": "notouch.correlation_table(run(c, BOSON), [0.0], [0.0], c.target_pairs)",
+    "chsh_grid_max": "notouch.chsh_grid_max(run(c, BOSON), c.target_pairs, 90.0)",
+    "amplitudes": "extract_dual_rail(run(c, BOSON).accepted, c.target_pairs).amplitudes",
+}
+
 TRACER_WITHOUT_ANALYSIS = """
 import importlib.util, sys
 import notouch
@@ -74,6 +96,47 @@ def test_run_and_verify_never_load_numpy(tmp_path):
     assert out[0] == "[0, 0, 0, 0, 0, 0, 1] False"
     # the first analysis name resolves, loads numpy and works
     assert out[1] == "[(0.0, 0.0, 1.0)] True"
+
+
+def test_synthesis_and_fidelity_never_load_numpy(tmp_path):
+    out = _python(SYNTHESIS_WITHOUT_NUMPY, cwd=tmp_path)
+    assert out == "0 [1.0, 1.0] False\n"
+
+
+@pytest.mark.parametrize("step", sorted(LOADS_NUMPY))
+def test_the_vectorized_steps_still_load_numpy(tmp_path, step):
+    code = (
+        "import sys\nimport notouch\nfrom notouch import BOSON, bell_circuit, "
+        "extract_dual_rail, run\nc = bell_circuit()\nbefore = 'numpy' in sys.modules\n"
+        f"{LOADS_NUMPY[step]}\nprint(before, 'numpy' in sys.modules)"
+    )
+    assert _python(code, cwd=tmp_path) == "False True\n"
+
+
+def test_a_bell_pipeline_calls_no_numpy_linalg_function(monkeypatch):
+    import numpy as np
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg was called")
+
+    patched = [name for name in np.linalg.__all__ if callable(getattr(np.linalg, name))]
+    patched = [name for name in patched if not isinstance(getattr(np.linalg, name), type)]
+    for name in patched:
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert "svd" in patched and "eigh" in patched
+    with pytest.raises(AssertionError, match="numpy.linalg was called"):
+        np.linalg.svd(np.eye(2))
+    thetas = [i * 2.0 * np.pi / 37 for i in range(37)]
+    for values in ([0.6, 0.0, 0.48j, 0.64], [0.5, 0.5j, -0.5, 0.5j], [1.0, 0.0, 0.0, 0.0]):
+        for stat in (notouch.BOSON, notouch.anyon(0.7)):
+            target = notouch.QubitState(2, values)
+            c = notouch.synthesize_two_qubit(target, stat)
+            out = notouch.run(c, stat)
+            got = notouch.extract_dual_rail(out.accepted, c.target_pairs)
+            assert notouch.fidelity(got, target) >= 1 - 1e-12
+            assert len(notouch.correlation_table(out, thetas, thetas, c.target_pairs)) == 37**2
+            value, _ = notouch.chsh_grid_max(out, c.target_pairs, 1.0, refine=True)
+            assert value <= 2 * np.sqrt(2) + 1e-9
 
 
 def test_tracer_installs_where_analysis_was_never_imported(tmp_path):
