@@ -11,7 +11,10 @@ included, is paid once from the raw final modes in ascending injection order.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
+
+if TYPE_CHECKING:  # annotations only: numpy loads in the functions that vectorize
+    import numpy as np
 
 from .engine import RunOutput
 from .errors import DimensionMismatch, PatternMismatch, ZeroProbability
