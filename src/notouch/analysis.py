@@ -194,6 +194,9 @@ def chsh_grid_max(
     h starts at 2 pi / n, a sweep that does not raise the value divides it
     by 16, and the search stops at h <= 1e-9 rad.  The first maximum moves
     a flat angle by -h, which lets a search that starts on a saddle leave it.
+    A synthesized two-qubit run often has several exactly equal grid optima,
+    so a last-bit change in its amplitudes can move the returned angles by
+    radians while the value moves by 1e-15: compare values, not angles.
     """
     import numpy as np
     if not 0 < resolution_deg < np.inf:

@@ -218,47 +218,17 @@ def hadamard_gate(k: int, l: int) -> LocalUnitary:
     return LocalUnitary((k, l), ((s, s), (s, -s)))
 
 
-def complete_unitary(first_column) -> Tuple[Tuple[complex, ...], ...]:
-    """Extend a unit column to a unitary (rows) by Gram-Schmidt over the standard basis.
-
-    Candidate columns are taken from the standard basis vectors in index
-    order; each accepted column is normalized with its first nonzero entry
-    made real and positive, so the completion is reproducible and the
-    balanced two-mode case reproduces the standard beam-splitter matrix.
-    """
-    col = [complex(z) for z in first_column]
-    n = len(col)
-    if abs(math.sqrt(sum(abs(z) ** 2 for z in col)) - 1.0) > UNITARY_TOLERANCE:
-        raise NotNormalized("first column must be a unit vector")
-    columns = [col]
-    for idx in range(n):
-        if len(columns) == n:
-            break
-        cand = [complex(i == idx) for i in range(n)]
-        for _ in range(2):  # a short remainder lost digits to cancellation: project it again
-            for prev in columns:
-                dot = sum((p.conjugate() * z for p, z in zip(prev, cand)), 0j)
-                cand = [z - dot * p for z, p in zip(cand, prev)]
-            nrm = math.sqrt(sum(abs(z) ** 2 for z in cand))
-            if nrm >= 0.5:
-                break
-        if nrm < 1e-9:
-            continue
-        cand = [z * (1.0 / nrm) for z in cand]
-        lead = next(z for z in cand if abs(z) > 1e-12)
-        columns.append([z * (abs(lead) / lead) for z in cand])
-    return tuple(zip(*columns))
-
-
 def w_input_unitary() -> LocalUnitary:
     """Three-mode input unitary of the W layout.
 
-    Sends a particle in the first support mode to the superposition with
-    amplitudes ``(sqrt 2, 1, sqrt 2) / sqrt 5``; the remaining columns are the
-    deterministic Gram-Schmidt completion.
+    Its columns are ``(sqrt 2, 1, sqrt 2) / sqrt 5``, ``(3, -sqrt 2, -2) / sqrt 15``
+    and ``(0, sqrt 2, -1) / sqrt 3``, the Gram-Schmidt completion of the first
+    over the standard basis.  The particle enters the first support mode only,
+    so the other two columns never reach a result.
     """
-    r = 1.0 / math.sqrt(5.0)
-    return LocalUnitary((3, 4, 5), complete_unitary([SQRT2 * r, r, SQRT2 * r]))
+    r, r15, r3 = (1.0 / math.sqrt(k) for k in (5.0, 15.0, 3.0))
+    rows = ((SQRT2 * r, 3 * r15, 0.0), (r, -SQRT2 * r15, SQRT2 * r3), (SQRT2 * r, -2 * r15, -r3))
+    return LocalUnitary((3, 4, 5), rows)
 
 
 def _ghz_ring(n: int, input_stage=None, output_stage=()) -> Circuit:
@@ -339,9 +309,11 @@ def synthesize_two_qubit(target: QubitState, statistics: Statistics) -> Circuit:
     The Schmidt decomposition of the target fixes the input amplitude
     splitter on the first subsystem (nonnegative coefficients, descending)
     and the two output-stage basis unitaries on the rail pairs.  The exchange
-    phase picked up when the accepted pattern is reordered is folded into the
+    phase s picked up when the accepted pattern is reordered is folded into the
     input column so the synthesized state matches the target for the given
-    statistics.
+    statistics: the splitter's columns are ``(lam_0, conj(s) lam_1)`` and
+    ``(lam_1, -conj(s) lam_0)``, orthogonal as written.  The particle enters
+    the first mode only, so the second column never reaches a result.
 
     The Schmidt step M = sum_k lam_k u_k v_k^dagger is in closed form: lam_k^2
     are the eigenvalues of H = M M^dagger, lam_1 = |det M| / lam_0, u_0 is the
@@ -369,8 +341,8 @@ def synthesize_two_qubit(target: QubitState, statistics: Statistics) -> Circuit:
     w1 = ((x, -y.conjugate()), (y, x.conjugate()))
     w2 = ((v0, 0 - phase * v1.conjugate()), (v1, phase * v0.conjugate()))  # vh.T; 0 - z: no -0.0
 
-    s = statistics.reorder_phase(1)
-    prep = LocalUnitary((1, 2), complete_unitary([lam0, s.conjugate() * lam1]))
+    s_bar = statistics.reorder_phase(1).conjugate()
+    prep = LocalUnitary((1, 2), ((lam0, lam1), (s_bar * lam1, 0 - s_bar * lam0)))  # no -0.0
 
     bases = (LocalUnitary((1, 2), w1), LocalUnitary((3, 4), w2))
     return _ghz_ring(2, input_stage=(prep, hadamard_gate(3, 4)), output_stage=bases)

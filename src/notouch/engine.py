@@ -18,11 +18,13 @@ mode leave the single-occupancy sector; their squared weight is the signed
 histories cancel exactly, so it is zero only up to rounding.
 
 ``inject``, ``apply_gate`` and ``post_select`` are the gate-level test
-reference: each gate expands occupied support modes by their matrix columns,
-moves the weight of branches that doubly occupy a mode into ``escaped`` and
-re-sorts the rest.  Chained from ``inject`` it reproduces ``run`` for bosons,
-fermions and labelled particles, but its per-gate anyon phases depend on the
-order of commuting gates, which is why ``run`` does not use it.
+reference: a gate gives each particle its (destination, amplitude) branches,
+one for a permutation and the support column for a local unitary, and each
+term expands into their product over the particles, moving the weight of
+branches that doubly occupy a mode into ``escaped`` and re-sorting the rest.
+Chained from ``inject`` it reproduces ``run`` for bosons, fermions and
+labelled particles, but its per-gate anyon phases depend on the order of
+commuting gates, which is why ``run`` does not use it.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .circuit import Circuit, Gate, Permute
-from .errors import PatternMismatch, ZeroState
+from .errors import DuplicateMode, PatternMismatch, ZeroState
 from .fock import FockState, Statistics, norm
-from .paths import _acceptance_rule, _branch_combinations, _canonical, _injection_labels
+from .paths import _acceptance_rule, _branch_combinations, _branches, _canonical, _injection_labels
 from .qubits import QubitState
 
 Pair = Tuple[int, int]
@@ -73,48 +75,35 @@ def apply_gate(
 ) -> FockState:
     """Apply one gate, preserving total mass (stored norm plus escaped).
 
-    Branches that would doubly occupy a mode leave the single-occupancy
-    sector: their weight moves into the ``escaped`` ledger (fermionic
-    branches of this kind vanish identically).
+    Each particle takes every (destination, amplitude) branch the gate gives
+    it: a ``Permute`` moves it, a ``LocalUnitary`` expands it by its support
+    column (``paths._branches``), and a particle off the support stays with
+    amplitude 1.  Branches that would doubly occupy a mode leave the
+    single-occupancy sector: their weight moves into the ``escaped`` ledger
+    (fermionic branches of this kind vanish identically).  A ``Permute`` that
+    is not a bijection raises ``DuplicateMode``.
     """
-    if isinstance(gate, Permute):
-        out: dict = {}
-        for modes, species, amp in state.items():
-            raw = [gate.apply(m) for m in modes]
-            key, phase = _canonical(raw, species, statistics)
-            out[key] = out.get(key, 0.0 + 0.0j) + amp * phase
-        return FockState(state.num_modes, out, escaped=state.escaped)
+    if isinstance(gate, Permute) and not gate.is_bijection():
+        raise DuplicateMode(f"permutation {gate.one_line} sends two modes to one")
 
-    support = gate.support
-    support_set = set(support)
-    out = {}
+    def moves(mode: int):
+        if isinstance(gate, Permute):
+            return [(gate.apply(mode), 1.0 + 0.0j)]
+        return _branches(mode, (gate,))
+
+    out: dict = {}
     in_sq = 0.0
-    out_sq = 0.0
     for modes, species, amp in state.items():
         in_sq += abs(amp) ** 2
-        positions = [i for i, m in enumerate(modes) if m in support_set]
-        if not positions:
-            key = (modes, species)
-            out[key] = out.get(key, 0.0 + 0.0j) + amp
-            continue
-        col_indices = [support.index(modes[i]) for i in positions]
-        for targets in itertools.product(range(len(support)), repeat=len(positions)):
-            coeff = amp
-            for tgt, src in zip(targets, col_indices):
-                coeff = coeff * gate.rows[tgt][src]
-            if coeff == 0:
-                continue
-            raw = list(modes)
-            for pos, tgt in zip(positions, targets):
-                raw[pos] = support[tgt]
+        for branch in itertools.product(*map(moves, modes)):
+            raw = [dest for dest, _ in branch]
             if len(set(raw)) != len(raw):
                 continue  # leaves the single-occupancy sector: weight escapes
             key, phase = _canonical(raw, species, statistics)
+            coeff = math.prod((element for _, element in branch), start=amp)
             out[key] = out.get(key, 0.0 + 0.0j) + coeff * phase
-    for value in out.values():
-        out_sq += abs(value) ** 2
-    escaped = state.escaped + max(in_sq - out_sq, 0.0)
-    return FockState(state.num_modes, out, escaped=escaped)
+    out_sq = sum(abs(value) ** 2 for value in out.values())
+    return FockState(state.num_modes, out, escaped=state.escaped + max(in_sq - out_sq, 0.0))
 
 
 def post_select(state: FockState, pairs: Sequence[Pair]) -> Tuple[FockState, float]:

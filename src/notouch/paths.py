@@ -42,7 +42,7 @@ from .circuit import Circuit, LocalUnitary
 from .errors import PatternMismatch, TooManyHistories
 from .fock import Statistics, canonicalize
 
-DEFAULT_HISTORY_LIMIT = 10**6
+HISTORY_LIMIT = 10**6
 
 Pair = Tuple[int, int]
 
@@ -157,9 +157,9 @@ def _branch_combinations(c: Circuit, accepted_only: bool = False):
     return total, _walk(levels, len(c.target_pairs), accepted_only)
 
 
-def _check_limit(count: int, limit: Optional[int], what: str) -> None:
-    if limit is not None and count > limit:
-        raise TooManyHistories(f"{count} {what} exceed the limit of {limit}")
+def _check_limit(count: int, what: str) -> None:
+    if count > HISTORY_LIMIT:
+        raise TooManyHistories(f"{count} {what} exceed the limit of {HISTORY_LIMIT}")
 
 
 def _walk(levels, num_pairs: int, accepted_only: bool):
@@ -200,12 +200,9 @@ def _history(path, amplitude: complex, inversions, statistics: Statistics) -> Pa
     return PathHistory(tuple(zip(*steps[::-1])) or ((),) * 4, amplitude)
 
 
-def enumerate_histories(
-    c: Circuit,
-    statistics: Statistics,
-    max_histories: int = DEFAULT_HISTORY_LIMIT,
-) -> List[PathHistory]:
-    """Every history, in walk order; ``max_histories`` bounds their number.
+def enumerate_histories(c: Circuit, statistics: Statistics) -> List[PathHistory]:
+    """Every history, in walk order; more than ``HISTORY_LIMIT`` raise
+    ``TooManyHistories`` before the walk starts.
 
     Histories whose particles end in the same mode are retained (their
     amplitude carries no exchange phase, since sorting a collision is not
@@ -215,7 +212,7 @@ def enumerate_histories(
     the single-occupancy sector (``escaped``).
     """
     total, walk = _branch_combinations(c)
-    _check_limit(total, max_histories, "histories")
+    _check_limit(total, "histories")
     return [_history(path, amp, inversions, statistics) for path, _, amp, inversions in walk]
 
 
@@ -231,10 +228,7 @@ def _touch_events(history: PathHistory, c: Circuit) -> List[TouchEvent]:
 
 
 def verify_no_touching(
-    c: Circuit,
-    statistics: Statistics,
-    post_select: bool = True,
-    max_histories: int = DEFAULT_HISTORY_LIMIT,
+    c: Circuit, statistics: Statistics, post_select: bool = True
 ) -> TouchReport:
     """Certify that accepted outcomes involve no touching histories.
 
@@ -242,17 +236,17 @@ def verify_no_touching(
     ``post_select`` (where a valid circuit always passes) or else of the full
     walk, for two particles in one final mode or one output gate, the only
     places they can meet.  ``histories_total`` is the product of the branch
-    counts.  ``max_histories`` bounds it up front without post-selection, and
+    counts.  ``HISTORY_LIMIT`` bounds it up front without post-selection, and
     the accepted histories visited with it.
     """
     total, walk = _branch_combinations(c, post_select)
     if not post_select:
-        _check_limit(total, max_histories, "histories")
+        _check_limit(total, "histories")
     counterexamples: List[TouchEvent] = []
     checked = 0
     for visited, (path, _, amp, inversions) in enumerate(walk, 1):
         if post_select:
-            _check_limit(visited, max_histories, "accepted histories")
+            _check_limit(visited, "accepted histories")
         if amp == 0:  # an exact zero, the only history skipped
             continue
         checked += 1

@@ -11,7 +11,6 @@ from notouch.circuit import (
     bell_circuit,
     circuit_from_dict,
     circuit_to_dict,
-    complete_unitary,
     ghz_circuit,
     hadamard_gate,
     hom_circuit,
@@ -22,6 +21,7 @@ from notouch.circuit import (
     w_circuit,
     w_input_unitary,
 )
+from notouch.analysis import correlation_table
 from notouch.engine import apply_gate, extract_dual_rail, inject, run, run_distinguishable
 from notouch.errors import InvalidCircuit, NoTouchError, NotBijective, NotNormalized, SameMode
 from notouch.fock import BOSON, FERMION, FockState, anyon
@@ -91,14 +91,8 @@ def test_w_input_unitary_first_column():
     assert np.allclose(col, expected, atol=1e-15)
     assert abs(np.linalg.norm(col) - 1.0) < 1e-12
     assert np.allclose(gate.matrix.conj().T @ gate.matrix, np.eye(3), atol=1e-9)
-
-
-def test_complete_unitary_balanced_column_gives_beam_splitter():
-    s = 1 / np.sqrt(2)
-    mat = complete_unitary(np.array([s, s]))
-    assert np.allclose(mat, np.array([[s, s], [s, -s]]), atol=1e-12)
-    with pytest.raises(NotNormalized):
-        complete_unitary(np.array([1.0, 1.0]))
+    # the closed-form columns are the Gram-Schmidt completion of the first
+    assert np.abs(gate.matrix - _complete_unitary_oracle(expected)).max() <= 1e-15
 
 
 def test_permutation_from_one_line():
@@ -476,7 +470,8 @@ def test_is_unitary_matches_the_numpy_oracle():
 
 
 def _complete_unitary_oracle(first_column):
-    """The numpy Gram-Schmidt ``complete_unitary`` ran before it moved to pure Python."""
+    """Numpy Gram-Schmidt completion of a unit column over the standard basis,
+    the reference for the closed-form W splitter."""
     col = np.asarray(first_column, dtype=complex).reshape(-1)
     n = col.shape[0]
     if abs(np.linalg.norm(col) - 1.0) > UNITARY_TOLERANCE:
@@ -499,31 +494,55 @@ def _complete_unitary_oracle(first_column):
     return np.stack(columns, axis=1)
 
 
-def test_complete_unitary_matches_the_numpy_oracle():
-    rng = np.random.default_rng(16)
-    columns = [[1.0], [1j], [0, 1], [0, 0, 1j], [0, 1, 0, 0], [0.6j, 0, 0, 0.8]]
-    for size in range(1, 5):
-        for trial in range(25):
-            v = rng.normal(size=size) + 1j * rng.normal(size=size)  # complex leading entry
-            if size > 1 and trial % 2:
-                v[rng.choice(size, rng.integers(1, size), replace=False)] = 0  # exact zeros
-            columns.append(v / np.linalg.norm(v))
-    for col in columns:
-        got = np.array(complete_unitary(col))
-        assert np.allclose(got, _complete_unitary_oracle(col), rtol=0, atol=1e-12), col
-    for bad in ([1.0, 1.0], [0.5, 0.5, 0.5], [0, 0, 0, 0]):
-        with pytest.raises(NotNormalized):
-            _complete_unitary_oracle(bad)
-        with pytest.raises(NotNormalized):
-            complete_unitary(bad)
+@pytest.mark.parametrize("stat", [BOSON, FERMION, anyon(0.7), anyon(2.1)], ids=str)
+def test_the_prep_gate_closed_form_holds_at_every_schmidt_gap(stat):
+    s_bar = stat.reorder_phase(1).conjugate()
+    rotation = _haar_unitary(np.random.default_rng(29))
+    for small in (0.0, 1e-13, 1e-9, 1e-6, 2**-0.5):
+        diagonal = np.diag([np.sqrt(1 - small**2), small])
+        for m in (diagonal, rotation @ diagonal @ rotation.T):
+            prep = synthesize_two_qubit(QubitState(2, m.ravel()), stat).input_stage[0]
+            (lam0, lam1), (entered, _) = prep.rows  # row 0 holds the two Schmidt values
+            assert lam0.imag == lam1.imag == 0 and lam0.real >= lam1.real >= 0
+            assert abs(lam0 - np.sqrt(1 - small**2)) <= 1e-15 and abs(lam1 - small) <= 1e-15
+            assert entered == s_bar * lam1  # the first column is exactly (lam_0, s_bar lam_1)
+            gram = prep.matrix.conj().T @ prep.matrix
+            assert np.abs(gram - np.eye(2)).max() <= 1e-15, (small, m)
 
 
-def test_complete_unitary_stays_unitary_next_to_a_basis_vector():
-    # the first candidate keeps only a 1e-9 remainder, which cancellation
-    # leaves far from orthogonal after a single projection
-    for small in (1e-9, 3e-9 * np.exp(0.4j), 1e-6j):
-        big = np.sqrt(1 - abs(small) ** 2)
-        for col in ([big, small], [small, 0, big]):
-            got = np.array(complete_unitary(col))
-            assert np.abs(got[:, 0] - col).max() == 0
-            assert np.abs(got.conj().T @ got - np.eye(len(col))).max() <= 1e-14, col
+def _rephase_unentered_columns(gate):
+    """``gate`` with every column but the first, the only one entered, times e^{0.3i}."""
+    phase = complex(np.exp(0.3j))
+    return replace(gate, rows=[[row[0]] + [z * phase for z in row[1:]] for row in gate.rows])
+
+
+def _unentered_column_cases():
+    rng = np.random.default_rng(29)
+    s = 1 / np.sqrt(2)
+    targets = [[0, 1, 0, 0], [s, 0, 0, s], [0.6, 0, 0, 0.8j]]
+    for _ in range(3):
+        vec = rng.normal(size=4) + 1j * rng.normal(size=4)
+        targets.append(vec / np.linalg.norm(vec))
+    for stat in (BOSON, FERMION, anyon(0.7)):
+        for vec in targets:
+            c = synthesize_two_qubit(QubitState(2, vec), stat)
+            prep, *rest = c.input_stage
+            yield stat, c, replace(c, input_stage=(_rephase_unentered_columns(prep), *rest))
+        c = w_circuit()
+        first, w_gate, last = c.input_stage
+        yield stat, c, replace(c, input_stage=(first, _rephase_unentered_columns(w_gate), last))
+
+
+def test_unentered_columns_cannot_change_a_result():
+    angles = np.linspace(0, 2 * np.pi, 7)
+    for stat, circuit, rephased in _unentered_column_cases():
+        assert rephased != circuit
+        records = []
+        for c in (circuit, rephased):
+            out = run(c, stat)
+            record = [list(out.accepted.items()), out.probability, out.histories]
+            record.append(verify_no_touching(c, stat, post_select=False))
+            if len(c.target_pairs) == 2:
+                record.append(correlation_table(out, angles, angles, c.target_pairs))
+            records.append(record)
+        assert records[0] == records[1], (stat, circuit)

@@ -65,9 +65,10 @@ def test_enumerate_rejects_invalid_circuit():
         enumerate_histories(replace(bell_circuit(), injections=(1, 1)), BOSON)
 
 
-def test_enumeration_guard():
+def test_enumeration_guard(monkeypatch):
+    monkeypatch.setattr(notouch.paths, "HISTORY_LIMIT", 10)
     with pytest.raises(TooManyHistories):
-        enumerate_histories(w_circuit(), BOSON, max_histories=10)
+        enumerate_histories(w_circuit(), BOSON)
 
 
 @pytest.mark.parametrize("stat", ALL_STATS)
@@ -216,15 +217,16 @@ def test_a_circuit_without_particles_has_one_empty_history(stat):
     assert history.particle_modes == ((), (), (), ())
 
 
-def test_the_history_limit_counts_the_accepted_histories_visited():
+def test_the_history_limit_counts_the_accepted_histories_visited(monkeypatch):
     report = verify_no_touching(_ghz_ring(20), BOSON)
     assert report.verdict == "pass"
     assert (report.histories_total, report.histories_checked) == (2**20, 2)
-    with pytest.raises(TooManyHistories, match="accepted histories exceed the limit of 1"):
-        verify_no_touching(_ghz_ring(20), BOSON, max_histories=1)
     # the full walk, like enumerate_histories, checks the product before it starts
-    with pytest.raises(TooManyHistories, match="1048576 histories exceed"):
+    with pytest.raises(TooManyHistories, match="1048576 histories exceed the limit of 1000000"):
         verify_no_touching(_ghz_ring(20), BOSON, post_select=False)
+    monkeypatch.setattr(notouch.paths, "HISTORY_LIMIT", 1)
+    with pytest.raises(TooManyHistories, match="accepted histories exceed the limit of 1"):
+        verify_no_touching(_ghz_ring(20), BOSON)
 
 
 def test_post_selection_checks_accepted_histories_of_any_magnitude():
