@@ -5,9 +5,9 @@ particles (bosons, fermions or abelian anyons) purely through path
 indistinguishability and post-selection, and mechanically verifies that the
 accepted events never bring two particles together.
 
-Importing the package loads no numpy, nor do synthesis and ``fidelity``: the
-vectorized ``analysis`` functions load it on first call, as does the first
-``.matrix`` or ``.amplitudes``.
+Importing the package loads no numpy, nor do synthesis and ``fidelity``.
+numpy loads when ``notouch.analysis`` is imported, on the first use of one
+of its names, and on the first read of ``.matrix`` or ``.amplitudes``.
 """
 
 __version__ = "0.1.0"
@@ -66,7 +66,7 @@ from .paths import (
     enumerate_histories,
     verify_no_touching,
 )
-from .qubits import QubitState
+from .qubits import QubitState, fidelity
 
 __all__ = [
     "BOSON",

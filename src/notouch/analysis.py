@@ -11,18 +11,14 @@ included, is paid once from the raw final modes in ascending injection order.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Sequence, Tuple
+from typing import Sequence, Tuple
 
-if TYPE_CHECKING:  # annotations only: numpy loads in the functions that vectorize
-    import numpy as np
+import numpy as np
 
 from .engine import RunOutput
 from .errors import DimensionMismatch, PatternMismatch, ZeroProbability
-from .paths import _acceptance_rule, _canonical
+from .paths import Pair, _canonical, _pair_bits
 from .qubits import QubitState
-
-Pair = Tuple[int, int]
-
 
 # One pair's product of two half-angle factors, in row 2 u + v with 0 for
 # cos(theta/2) and 1 for sin(theta/2), over the basis (1, cos theta, sin
@@ -49,9 +45,8 @@ class CorrelationEvaluator:
     """
 
     def __init__(self, out: RunOutput, pairs: Sequence[Pair]):
-        import numpy as np
         pairs = [tuple(pair) for pair in pairs]
-        _acceptance_rule(pairs)  # PatternMismatch unless disjoint pairs of two modes
+        _pair_bits(pairs)  # PatternMismatch unless disjoint pairs of two modes
         if out.probability <= 0.0:
             raise ZeroProbability("cannot correlate an impossible run")
         k = self.num_pairs = len(pairs)
@@ -101,7 +96,6 @@ class CorrelationEvaluator:
         Equal-shaped arrays give a list of settings; arrays shaped for
         broadcasting (``t1[:, None], t2[None, :]``) give a separable grid.
         """
-        import numpy as np
         if len(thetas) != self.num_pairs:
             raise DimensionMismatch("one measurement setting per rail pair required")
         thetas = [np.asarray(theta, dtype=float) for theta in thetas]
@@ -129,7 +123,6 @@ def correlation_table(
     pairs: Sequence[Pair],
 ) -> list[Tuple[float, float, float]]:
     """Correlation on a two-angle grid, rows in (theta1-major) grid order."""
-    import numpy as np
     if len(pairs) != 2:
         raise DimensionMismatch("a correlation table needs exactly two rail pairs")
     t1 = np.asarray(thetas1, dtype=float)
@@ -142,7 +135,6 @@ def correlation_table(
 
 def _chsh(evaluate: CorrelationEvaluator, settings) -> np.ndarray:
     """CHSH combination at each row (a, a', b, b') of ``settings``."""
-    import numpy as np
     angles = np.asarray(settings, dtype=float).T  # rows a, a', b, b'
     e = evaluate(angles[[0, 0, 1, 1]], angles[[2, 3, 2, 3]])
     return e[0] + e[1] + e[2] - e[3]
@@ -198,7 +190,6 @@ def chsh_grid_max(
     so a last-bit change in its amplitudes can move the returned angles by
     radians while the value moves by 1e-15: compare values, not angles.
     """
-    import numpy as np
     if not 0 < resolution_deg < np.inf:
         raise ValueError(f"resolution_deg must be finite and positive, got {resolution_deg!r}")
     n = max(1, round(360.0 / resolution_deg))  # coarser than 360 degrees: one angle
@@ -255,20 +246,12 @@ def chsh_grid_max(
     return value, tuple(current)
 
 
-def fidelity(state: QubitState, target: QubitState) -> float:
-    """Squared overlap of two normalized qubit states."""
-    if state.num_qubits != target.num_qubits:
-        raise DimensionMismatch("states must have the same number of qubits")
-    return abs(sum(t.conjugate() * z for t, z in zip(target.values, state.values))) ** 2
-
-
 def three_tangle(state: QubitState) -> float:
     """Residual tangle of a three-qubit state.
 
     Positive for the GHZ entanglement class, zero for the W class and for
     product states; invariant under local unitaries.
     """
-    import numpy as np
     if state.num_qubits != 3:
         raise DimensionMismatch("the tangle is defined for three qubits")
     # Cayley's hyperdeterminant of the 2x2x2 amplitude tensor

@@ -29,12 +29,12 @@ from .engine import extract_dual_rail, run, run_distinguishable
 from .errors import InvalidCircuit, NoTouchError, ZeroState
 from .fock import PRUNE_TOLERANCE, Statistics
 from .paths import verify_no_touching
-from .qubits import QubitState
+from .qubits import QubitState, fidelity
 
-def _sig(value: float, digits: int = 12) -> float:
+def _sig(value: float) -> float:
     if value == 0 or not math.isfinite(value):
         return float(value)
-    return round(value, digits - 1 - int(math.floor(math.log10(abs(value)))))
+    return round(value, 11 - int(math.floor(math.log10(abs(value)))))  # 12 significant digits
 
 
 def _metadata() -> dict:
@@ -69,8 +69,9 @@ def _parse_grid(spec: str) -> list[float]:
     return values
 
 
-def _run_document(protocol: str, stat: Statistics) -> dict:
-    circuit = _resolve_circuit(protocol)
+def cmd_run(args: argparse.Namespace) -> int:
+    stat = Statistics.parse(args.statistics)
+    circuit = _resolve_circuit(args.protocol)
     out = run(circuit, stat)
     terms = []
     for modes, _species, amp in sorted(out.accepted.items(), key=lambda t: t[0]):
@@ -82,19 +83,14 @@ def _run_document(protocol: str, stat: Statistics) -> dict:
         qubit_amps = [[_sig(z.real), _sig(z.imag)] for z in qubits.values]
     except ZeroState:
         qubit_amps = []
-    return {
-        "protocol": protocol,
+    doc = {
+        "protocol": args.protocol,
         "statistics": str(stat),
         "probability": _sig(out.probability),
         "accepted_terms": terms,
         "qubit_amplitudes": qubit_amps,
         "metadata": _metadata(),
     }
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    stat = Statistics.parse(args.statistics)
-    doc = _run_document(args.protocol, stat)
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
@@ -111,7 +107,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
-    from .analysis import correlation_table  # its call loads numpy, which no other command does
+    from .analysis import correlation_table  # loads numpy, which no other command does
 
     stat = None if args.distinguishable else Statistics.parse(args.statistics)
     circuit = _resolve_circuit(args.protocol)
@@ -180,8 +176,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    from .analysis import fidelity
-
     tokens = [tok.strip() for tok in args.target.split(",") if tok.strip()]
     if len(tokens) != 4:
         raise NoTouchError("target must be four comma-separated complex amplitudes")

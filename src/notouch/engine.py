@@ -37,10 +37,11 @@ from typing import Optional, Sequence, Tuple
 from .circuit import Circuit, Gate, Permute
 from .errors import DuplicateMode, PatternMismatch, ZeroState
 from .fock import FockState, Statistics, norm
-from .paths import _acceptance_rule, _branch_combinations, _branches, _canonical, _injection_labels
+from .paths import (
+    Pair, _acceptance_rule, _branch_combinations, _branches, _canonical, _injection_labels
+)
 from .qubits import QubitState
 
-Pair = Tuple[int, int]
 History = Tuple[Tuple[int, ...], Optional[Tuple[int, ...]], complex]
 
 
@@ -79,9 +80,9 @@ def apply_gate(
     it: a ``Permute`` moves it, a ``LocalUnitary`` expands it by its support
     column (``paths._branches``), and a particle off the support stays with
     amplitude 1.  Branches that would doubly occupy a mode leave the
-    single-occupancy sector: their weight moves into the ``escaped`` ledger
-    (fermionic branches of this kind vanish identically).  A ``Permute`` that
-    is not a bijection raises ``DuplicateMode``.
+    single-occupancy sector: ``escaped`` moves by the signed change in stored
+    mass (fermionic branches of this kind vanish identically).  A ``Permute``
+    that is not a bijection raises ``DuplicateMode``.
     """
     if isinstance(gate, Permute) and not gate.is_bijection():
         raise DuplicateMode(f"permutation {gate.one_line} sends two modes to one")
@@ -103,7 +104,7 @@ def apply_gate(
             coeff = math.prod((element for _, element in branch), start=amp)
             out[key] = out.get(key, 0.0 + 0.0j) + coeff * phase
     out_sq = sum(abs(value) ** 2 for value in out.values())
-    return FockState(state.num_modes, out, escaped=state.escaped + max(in_sq - out_sq, 0.0))
+    return FockState(state.num_modes, out, escaped=state.escaped + (in_sq - out_sq))
 
 
 def post_select(state: FockState, pairs: Sequence[Pair]) -> Tuple[FockState, float]:

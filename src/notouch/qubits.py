@@ -46,3 +46,10 @@ class QubitState:
     def amplitudes(self):
         import numpy as np
         return np.array(self.values, dtype=complex)
+
+
+def fidelity(state: QubitState, target: QubitState) -> float:
+    """Squared overlap of two normalized qubit states."""
+    if state.num_qubits != target.num_qubits:
+        raise DimensionMismatch("states must have the same number of qubits")
+    return abs(sum(t.conjugate() * z for t, z in zip(target.values, state.values))) ** 2

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from notouch.analysis import chsh_grid_max, chsh_value, correlation, fidelity, three_tangle
+from notouch.analysis import chsh_grid_max, chsh_value, correlation, three_tangle
 from notouch.circuit import (
     bell_circuit,
     ghz_circuit,
@@ -28,7 +28,7 @@ from notouch.engine import (
 )
 from notouch.fock import BOSON, FERMION, anyon, norm
 from notouch.paths import verify_no_touching
-from notouch.qubits import QubitState
+from notouch.qubits import QubitState, fidelity
 
 TOL = 1e-9
 ALL_STATS = (BOSON, FERMION, anyon(0.7))

@@ -10,7 +10,6 @@ from notouch.analysis import (
     chsh_value,
     correlation,
     correlation_table,
-    fidelity,
     three_tangle,
 )
 from notouch.circuit import (
@@ -34,7 +33,7 @@ from notouch.engine import (
 )
 from notouch.errors import DimensionMismatch, PatternMismatch, ZeroProbability, ZeroState
 from notouch.fock import BOSON, FERMION, FockState, anyon, norm
-from notouch.qubits import QubitState
+from notouch.qubits import QubitState, fidelity
 
 PAIRS = bell_circuit().target_pairs
 

@@ -98,6 +98,26 @@ def random_circuit(rng) -> Circuit:
     )
 
 
+def reaching_circuit(rng) -> Circuit:
+    """``random_circuit`` with its output side redrawn: each output subsystem is
+    built around one mode its particle reaches before the output stage, and
+    that mode and one more form its target pair, so post-selection can accept."""
+    c = random_circuit(rng)
+    k, t = len(c.injections), transfer_matrix(replace(c, output_stage=()))
+    anchors = [int(rng.choice(np.flatnonzero(t[:, src - 1]))) + 1 for src in c.injections]
+    rest = [int(m) for m in rng.permutation(np.arange(1, c.num_modes + 1)) if m not in anchors]
+    subsystems = [[anchor, second] for anchor, second in zip(anchors, rest)]
+    for m in rest[k:]:
+        subsystems[int(rng.integers(k))].append(m)
+    output_subsystems = tuple(tuple(int(m) for m in rng.permutation(sub)) for sub in subsystems)
+    return replace(
+        c,
+        output_stage=_local_gates(rng, output_subsystems),
+        output_subsystems=output_subsystems,
+        target_pairs=tuple(tuple(int(m) for m in rng.permutation(sub[:2])) for sub in subsystems),
+    )
+
+
 def paired_circuit(rng) -> Circuit:
     """2k modes in k input and k output pairs with a Haar gate on every pair;
     the target pairs are the output pairs, so some outcome is accepted."""
@@ -304,6 +324,25 @@ def test_the_accepted_oracle_check_is_not_vacuous():
         for stat in STATS:
             oracle = oracle_amplitudes(c, stat)
             assert sum(abs(amp) ** 2 for m, amp in oracle.items() if one_per_pair(c, m)) > TOL
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_reaching_circuits_match_transfer_matrix_oracle(seed):
+    check_against_oracle(reaching_circuit(np.random.default_rng(1000 + seed)))
+
+
+def test_the_reaching_circuits_accept_something():
+    # unlike the random circuits they redraw, these give the post-selected
+    # checks accepted weight under every statistics
+    accepting = 0
+    for seed in range(24):
+        c = reaching_circuit(np.random.default_rng(1000 + seed))
+        oracles = [oracle_amplitudes(c, stat) for stat in STATS]
+        accepting += all(
+            sum(abs(amp) ** 2 for m, amp in oracle.items() if one_per_pair(c, m)) > TOL
+            for oracle in oracles
+        )
+    assert accepting >= 20
 
 
 @pytest.mark.parametrize("seed", range(24))

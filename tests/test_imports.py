@@ -47,7 +47,7 @@ print(table, "numpy" in sys.modules)
 SYNTHESIS_WITHOUT_NUMPY = """
 import contextlib, io, sys
 from notouch import FERMION, QubitState, anyon, cli, extract_dual_rail, run, synthesize_two_qubit
-from notouch.analysis import fidelity
+from notouch.qubits import fidelity
 target = QubitState(2, [0.6, 0.0, 0.48j, 0.64])
 fidelities = []
 for stat in (FERMION, anyon(2.1)):
