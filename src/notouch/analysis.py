@@ -17,7 +17,7 @@ import numpy as np
 
 from .engine import RunOutput
 from .errors import DimensionMismatch, PatternMismatch, ZeroProbability
-from .paths import Pair, _canonical, _pair_bits
+from .paths import Pair, _canonical, _occupants, _rails
 from .qubits import QubitState
 
 # One pair's product of two half-angle factors, in row 2 u + v with 0 for
@@ -39,14 +39,14 @@ class CorrelationEvaluator:
     pair, and E = N[f, ...] / D[f, ...].  Building them takes O(4^k) memory,
     fine for the few pairs a correlation experiment measures.
 
-    Every pair must hold exactly one particle in every accepted history
-    (``PatternMismatch`` otherwise).  Particles outside the pairs are not
-    measured, so a subset of the target pairs gives the marginal correlation.
+    ``paths._occupants`` reads each pair's one particle in every accepted
+    history (``PatternMismatch`` if it holds none or two).  Particles outside
+    the pairs are not measured, so a subset of the pairs gives the marginal.
     """
 
     def __init__(self, out: RunOutput, pairs: Sequence[Pair]):
         pairs = [tuple(pair) for pair in pairs]
-        _pair_bits(pairs)  # PatternMismatch unless disjoint pairs of two modes
+        rail_of = _rails(pairs)
         if out.probability <= 0.0:
             raise ZeroProbability("cannot correlate an impossible run")
         k = self.num_pairs = len(pairs)
@@ -55,15 +55,12 @@ class CorrelationEvaluator:
         # 1 for sin(theta/2)
         branches: dict = {}
         for finals, species, amplitude in out.histories:
-            rails = []
-            for pair in pairs:
-                if (pair[0] in finals) + (pair[1] in finals) != 1:
-                    raise PatternMismatch(
-                        f"accepted history ending in {finals} does not hold "
-                        f"exactly one particle in rail pair {pair}"
-                    )
-                u = 0 if pair[0] in finals else 1
-                rails.append((finals.index(pair[u]), u))
+            rails = _occupants(finals, rail_of, k)
+            if rails is None:
+                raise PatternMismatch(
+                    f"accepted history ending in {finals} does not hold "
+                    f"exactly one particle in each rail pair of {pairs}"
+                )
             for branch in itertools.product((0, 1), repeat=k):
                 raw = list(finals)
                 coeff = amplitude

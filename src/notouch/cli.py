@@ -111,19 +111,14 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 
     stat = None if args.distinguishable else Statistics.parse(args.statistics)
     circuit = _resolve_circuit(args.protocol)
-    if stat is None:
-        out = run_distinguishable(circuit)
-        stat_label = "distinguishable"
-    else:
-        out = run(circuit, stat)
-        stat_label = args.statistics
+    out = run_distinguishable(circuit) if stat is None else run(circuit, stat)
     rows = correlation_table(
         out, _parse_grid(args.theta1), _parse_grid(args.theta2), circuit.target_pairs
     )
     if args.format == "json":
         doc = {
             "protocol": args.protocol,
-            "statistics": stat_label,
+            "statistics": "distinguishable" if stat is None else str(stat),
             "table": [
                 {"theta1": _sig(t1), "theta2": _sig(t2), "E": _sig(e)}
                 for t1, t2, e in rows

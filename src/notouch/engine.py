@@ -3,7 +3,7 @@
 The pipeline follows the staged circuit layout: inject one particle per
 input subsystem, apply the input-stage local unitaries, relabel modes by the
 permutation, apply the output-stage local unitaries, then post-select on one
-particle per target rail pair.
+particle per target rail pair, as ``paths._occupants`` reads them.
 
 ``run`` and ``run_distinguishable`` fold the depth-first history walk of
 ``paths`` with one rule, ``_fold``: each history whose final modes are
@@ -38,7 +38,7 @@ from .circuit import Circuit, Gate, Permute
 from .errors import DuplicateMode, PatternMismatch, ZeroState
 from .fock import FockState, Statistics, norm
 from .paths import (
-    Pair, _acceptance_rule, _branch_combinations, _branches, _canonical, _injection_labels
+    Pair, _branch_combinations, _branches, _canonical, _injection_labels, _occupants, _rails
 )
 from .qubits import QubitState
 
@@ -113,8 +113,9 @@ def post_select(state: FockState, pairs: Sequence[Pair]) -> Tuple[FockState, flo
     The pairs must be disjoint pairs of two distinct modes (``PatternMismatch``
     otherwise).  Kept terms stay in the state's insertion order.
     """
-    accepted = _acceptance_rule(pairs)
-    kept = {(modes, species): amp for modes, species, amp in state.items() if accepted(modes)}
+    rail_of = _rails(pairs)
+    kept = {(modes, species): amp for modes, species, amp in state.items()
+            if len(modes) == len(pairs) and _occupants(modes, rail_of, len(pairs)) is not None}
     return FockState(state.num_modes, kept), sum(abs(amp) ** 2 for amp in kept.values())
 
 
@@ -167,14 +168,14 @@ def run_distinguishable(c: Circuit) -> RunOutput:
 
 
 def _register(state: FockState, pairs: Sequence[Pair]):
-    """Each term as ``(bits, labels, amplitude)``, bit k 1 on pair k's second
-    mode; ``PatternMismatch`` for malformed pairs or a term that misses them."""
-    fits = _acceptance_rule(pairs)
+    """Each term as ``(bits, labels, amplitude)``, bit k the rail of pair k's one
+    particle; ``PatternMismatch`` for malformed pairs or a term that misses them."""
+    rail_of = _rails(pairs)
     for modes, labels, amp in state.items():
-        if not fits(modes):
+        found = _occupants(modes, rail_of, len(pairs)) if len(modes) == len(pairs) else None
+        if found is None:
             raise PatternMismatch(f"term {modes} does not match the rail pairs {pairs}")
-        occupied = set(modes)
-        yield tuple([1 if second in occupied else 0 for _, second in pairs]), labels, amp
+        yield tuple([rail for _, rail in found]), labels, amp
 
 
 def extract_dual_rail(accepted: FockState, pairs: Sequence[Pair]) -> QubitState:

@@ -29,6 +29,9 @@ it visits 2 of the 2^n), and ``engine.run`` takes ``accepted`` and
 With post-selection a valid circuit cannot fail: each output gate lies in one
 output subsystem holding one target pair, where two meeting particles leave a
 pair with two or a particle outside every pair.
+
+One reader, ``_rails`` and ``_occupants``, parses the rail-pair layout for the
+cut's pair bits, ``post_select``, the dual-rail register and the correlations.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .circuit import Circuit, LocalUnitary
 from .errors import PatternMismatch, TooManyHistories
@@ -84,33 +87,28 @@ class TouchReport:
         return "pass" if self.passed else "fail"
 
 
-def _pair_bits(pairs: Sequence[Pair]) -> dict:
-    """Each target mode's bit, ``1 << k`` for pair ``k``; ``PatternMismatch``
-    unless the pairs are disjoint pairs of two distinct modes."""
-    bit_of: dict = {}
+def _rails(pairs: Sequence[Pair]) -> dict:
+    """Each target mode's ``(pair index, rail)``, rail 1 on a pair's second mode;
+    ``PatternMismatch`` unless the pairs are disjoint pairs of two distinct modes."""
+    rail_of: dict = {}
     for index, pair in enumerate(pairs):
-        if len(pair) != 2 or pair[0] == pair[1] or pair[0] in bit_of or pair[1] in bit_of:
+        if len(pair) != 2 or pair[0] == pair[1] or pair[0] in rail_of or pair[1] in rail_of:
             raise PatternMismatch("target pairs must be disjoint pairs of two distinct modes")
-        bit_of[pair[0]] = bit_of[pair[1]] = 1 << index
-    return bit_of
+        rail_of[pair[0]], rail_of[pair[1]] = (index, 0), (index, 1)
+    return rail_of
 
 
-def _acceptance_rule(pairs: Sequence[Pair]) -> Callable[[Iterable[int]], bool]:
-    """Post-selection test: one particle in each pair and none outside them
-    (a repeated mode counts twice); the pairs as ``_pair_bits`` takes them."""
-    bit_of = _pair_bits(pairs)
-    full = (1 << len(pairs)) - 1
-
-    def accepted(modes: Iterable[int]) -> bool:
-        filled = 0
-        for mode in modes:  # every particle must land in a pair that is still empty
-            bit = bit_of.get(mode, 0)
-            if not bit or filled & bit:
-                return False
-            filled |= bit
-        return filled == full
-
-    return accepted
+def _occupants(modes: Sequence[int], rail_of: dict, num_pairs: int) -> Optional[list]:
+    """Per pair of ``rail_of`` (``_rails``), ``(position in modes, rail)`` of its one
+    particle, or ``None`` if a pair holds none or two; other modes are skipped."""
+    found: list = [None] * num_pairs
+    for position, mode in enumerate(modes):
+        if mode in rail_of:
+            index, rail = rail_of[mode]
+            if found[index] is not None:
+                return None
+            found[index] = (position, rail)
+    return None if None in found else found
 
 
 def _injection_labels(c: Circuit) -> Tuple[int, ...]:
@@ -140,19 +138,20 @@ def _branches(mode: int, gates: Sequence[LocalUnitary]) -> List[Tuple[int, compl
     return [(mode, 1.0 + 0.0j)]
 
 
-def _particle_paths(c: Circuit, injected: int, bit_of: dict) -> Iterator[tuple]:
-    """All branch choices for one particle, each as the record ``_walk`` reads."""
+def _particle_paths(c: Circuit, injected: int, rail_of: dict) -> Iterator[tuple]:
+    """All branch choices for one particle as ``_walk`` records, pair bit last."""
     for after_input, amp_in in _branches(injected, c.input_stage):
         after_perm = c.permutation.apply(after_input)
         for dest, amp_out in _branches(after_perm, c.output_stage):
             modes = (injected, after_input, after_perm, dest)
-            yield modes, (dest,), dest, 1 << dest, amp_in * amp_out, bit_of.get(dest, 0)
+            pair_bit = 1 << rail_of[dest][0] if dest in rail_of else 0
+            yield modes, (dest,), dest, 1 << dest, amp_in * amp_out, pair_bit
 
 
 def _branch_combinations(c: Circuit, accepted_only: bool = False):
     """The number of histories, the product of branch counts, and their ``_walk``."""
-    bit_of = _pair_bits(c.target_pairs)
-    levels = [list(_particle_paths(c, mode, bit_of)) for mode in sorted(c.injections)]
+    rail_of = _rails(c.target_pairs)
+    levels = [list(_particle_paths(c, mode, rail_of)) for mode in sorted(c.injections)]
     total = math.prod(len(level) for level in levels)
     return total, _walk(levels, len(c.target_pairs), accepted_only)
 

@@ -1,8 +1,10 @@
+import itertools
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_differential import dense_circuit, paired_circuit, reaching_circuit
 
 from notouch.analysis import (
     CorrelationEvaluator,
@@ -404,6 +406,50 @@ def test_interleaved_correlation_is_the_run_with_rotations_appended(one_line):
     expected = sum(p * (-1) ** sum(bits) for bits, p in dist.items())
     assert abs(value - expected) < 1e-12
     assert abs(value - 0.347052492808) < 1e-12
+
+
+def _nested_circuit(one_line):
+    """``_interleaved_circuit`` with the particles routed onto the nested rail
+    pairs (1, 4) and (2, 3)."""
+    pairs = ((1, 4), (2, 3))
+    return replace(_interleaved_circuit(one_line), output_subsystems=pairs, target_pairs=pairs)
+
+
+ZERO_ANGLE_CIRCUITS = (
+    [pytest.param(build, id=build.__name__) for build in (bell_circuit, ghz_circuit, w_circuit)]
+    + [pytest.param(lambda o=o: _interleaved_circuit(o), id=f"interleaved{o}")
+       for o in ([1, 3, 2, 4], [2, 4, 1, 3])]
+    + [pytest.param(lambda o=o: _nested_circuit(o), id=f"nested{o}")
+       for o in ([1, 4, 2, 3], [2, 3, 1, 4])]
+    + [pytest.param(lambda s=s: paired_circuit(np.random.default_rng(s)), id=f"paired{s}")
+       for s in range(2000, 2006)]
+    + [pytest.param(lambda k=k: dense_circuit(k, np.random.default_rng(3000 + k)), id=f"dense{k}")
+       for k in (2, 3)]
+    + [pytest.param(lambda s=s: reaching_circuit(np.random.default_rng(s)), id=f"reaching{s}")
+       for s in range(1000, 1006)]
+)
+
+
+@pytest.mark.parametrize("make", ZERO_ANGLE_CIRCUITS)
+def test_correlation_at_zero_is_the_parity_of_the_register_bits(make):
+    # at theta = 0 each rail rotation only flips the sign of the second rail,
+    # so the evaluator's reading of the accepted sector must give the parity
+    # average of the register bits that computational_distribution reads
+    circuit = make()
+    pairs = circuit.target_pairs
+    cases = 0
+    for stat in (BOSON, FERMION, anyon(0.7), anyon(2.1), None):
+        out = run_distinguishable(circuit) if stat is None else run(circuit, stat)
+        if out.probability == 0.0:
+            continue
+        dist = computational_distribution(out, pairs)
+        for size in range(1, len(pairs) + 1):
+            for subset in itertools.combinations(range(len(pairs)), size):
+                value = correlation(out, [0.0] * size, [pairs[i] for i in subset])
+                parity = sum((-1) ** sum(bits[i] for i in subset) * p for bits, p in dist.items())
+                assert abs(value - parity) < 1e-12, (stat, subset)
+                cases += 1
+    assert cases > 0
 
 
 def _bilinear_residual(out, pairs, n):

@@ -166,6 +166,16 @@ def test_correlate_distinguishable_cell(capsys):
     assert abs(cell["E"] - np.cos(0.9) * np.cos(1.7)) < 1e-9
 
 
+def test_correlate_prints_the_parsed_statistics_as_run_does(capsys):
+    token = ["--protocol", "bell", "--statistics", "anyon:7e-1"]
+    docs = []
+    for argv in (["run", *token], ["correlate", *token, "--theta1", "0", "--theta2", "0"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        docs.append(json.loads(out))
+    assert [doc["statistics"] for doc in docs] == ["anyon:0.7", "anyon:0.7"]
+
+
 def test_correlate_single_cell_at_zero(capsys):
     code, out, _ = run_cli(
         capsys,

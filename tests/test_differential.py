@@ -36,10 +36,19 @@ from notouch.engine import (
     run_distinguishable,
 )
 from notouch.fock import BOSON, FERMION, anyon, canonicalize, count_inversions, norm
-from notouch.paths import _acceptance_rule, enumerate_histories
+from notouch.paths import _occupants, _rails, enumerate_histories
 
 STATS = (BOSON, FERMION, anyon(0.7), anyon(2.1))
 TOL = 1e-12
+
+
+def acceptance_rule(pairs):
+    """Post-selection's test on a term's modes: one particle in each pair and
+    none outside them, read with ``paths._rails`` and ``paths._occupants``."""
+    rail_of = _rails(pairs)
+    return lambda modes: (
+        len(modes) == len(pairs) and _occupants(modes, rail_of, len(pairs)) is not None
+    )
 
 
 def _haar(rng, n):
@@ -379,7 +388,7 @@ CIRCUITS = (
 @pytest.mark.parametrize("make, seed", CIRCUITS)
 def test_run_accepts_exactly_what_post_select_keeps(make, seed):
     c = make(np.random.default_rng(seed))
-    accepted = _acceptance_rule(c.target_pairs)
+    accepted = acceptance_rule(c.target_pairs)
     for stat in (*STATS, None):
         out = run_distinguishable(c) if stat is None else run(c, stat)
         kept, probability = post_select(out.pre_selection, c.target_pairs)

@@ -18,11 +18,14 @@ from notouch.circuit import (
     w_circuit,
 )
 from notouch.engine import apply_gate, inject, run
-from notouch.errors import InvalidCircuit, TooManyHistories
+from notouch.errors import InvalidCircuit, PatternMismatch, TooManyHistories
 from notouch.fock import BOSON, FERMION, anyon
 from notouch.paths import (
     TouchEvent,
     TouchReport,
+    _occupants,
+    _particle_paths,
+    _rails,
     _touch_events,
     enumerate_histories,
     verify_no_touching,
@@ -288,3 +291,77 @@ def test_the_accept_all_walk_checks_a_touching_history_of_any_magnitude(stat):
     assert all(0 < abs(ev.history.amplitude) < 1e-12 for ev in report.counterexamples)
     assert "gate on modes (2, 3)" in {ev.location for ev in report.counterexamples}
     assert verify_no_touching(circuit, stat).passed
+
+
+def _occupants_by_definition(modes, pairs):
+    """For each pair, the one index i with ``modes[i]`` in it and that mode's
+    rail, or ``None`` for the whole layout if some pair holds none or two."""
+    found = []
+    for pair in pairs:
+        hits = [i for i, mode in enumerate(modes) if mode in pair]
+        if len(hits) != 1:
+            return None
+        found.append((hits[0], pair.index(modes[hits[0]])))
+    return found
+
+
+def _geometry(p, q):
+    """How two disjoint pairs of modes lie on the line of modes."""
+    (a, b), (c, d) = sorted(p), sorted(q)
+    if b < c or d < a:
+        return "disjoint"
+    return "nested" if (a < c) == (d < b) else "interleaved"
+
+
+def _random_layout(rng):
+    """0-4 disjoint pairs on modes 1-8, and mode tuples with repeats and modes
+    outside the pairs: some drawn freely, some with one rail per pair."""
+    modes = [int(m) for m in rng.permutation(np.arange(1, 9))]
+    pairs = tuple(zip(modes[0:8:2], modes[1:8:2]))[: int(rng.integers(0, 5))]
+    tuples = [tuple(int(m) for m in rng.integers(1, 9, size=rng.integers(0, 7))) for _ in range(6)]
+    for _ in range(6):
+        chosen = [pair[int(rng.integers(2))] for pair in pairs]
+        chosen += [int(m) for m in rng.integers(1, 9, size=rng.integers(0, 3))]
+        tuples.append(tuple(int(m) for m in rng.permutation(chosen)))
+    return pairs, tuples
+
+
+def test_occupants_is_each_pairs_one_particle():
+    rng = np.random.default_rng(5000)
+    geometries, found = set(), 0
+    for _ in range(500):
+        pairs, tuples = _random_layout(rng)
+        geometries.update(_geometry(p, q) for i, p in enumerate(pairs) for q in pairs[:i])
+        rail_of = _rails(pairs)
+        for modes in tuples:
+            expected = _occupants_by_definition(modes, pairs)
+            assert _occupants(modes, rail_of, len(pairs)) == expected, (modes, pairs)
+            found += bool(pairs) and expected is not None
+    assert geometries == {"disjoint", "nested", "interleaved"}
+    assert found > 1000  # not only rejections: 1618 of 6000 fill 1-4 pairs
+
+
+def test_the_walks_pair_bit_is_the_bit_of_the_mode_pair():
+    rng = np.random.default_rng(5001)
+    for _ in range(100):
+        pairs, _ = _random_layout(rng)
+        circuit = Circuit(
+            num_modes=8,
+            input_subsystems=(),
+            injections=(),
+            input_stage=(),
+            permutation=permutation_from_one_line(list(range(1, 9))),
+            output_stage=(),
+            output_subsystems=pairs,
+            target_pairs=pairs,
+        )
+        for mode in range(1, 9):
+            (record,) = _particle_paths(circuit, mode, _rails(circuit.target_pairs))
+            bits = [1 << k for k, pair in enumerate(pairs) if mode in pair]
+            assert record[-1] == sum(bits), (mode, pairs)
+
+
+@pytest.mark.parametrize("pairs", [[(1, 2, 3)], [(1, 2), (3, 3)], [(1, 2), (2, 3)]])
+def test_rails_rejects_a_malformed_layout(pairs):
+    with pytest.raises(PatternMismatch, match="disjoint pairs of two distinct modes"):
+        _rails(pairs)

@@ -1,6 +1,7 @@
 """Source layout rules for the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "notouch"
@@ -49,3 +50,31 @@ def test_numpy_is_imported_only_at_the_three_boundaries():
         ("circuit.py", "LocalUnitary", "matrix"),
         ("qubits.py", "QubitState", "amplitudes"),
     ]
+
+
+def _references(node):
+    """Each name ``node`` reads: ``ast.Name`` ids, ``ast.Attribute`` attrs and
+    the names of import aliases."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+        elif isinstance(child, ast.alias):
+            yield child.name
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    # a helper whose only callers are tests is dead code kept for its oracles
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")]
+    everywhere = Counter(name for tree in trees for name in _references(tree))
+    unused = sorted(
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and everywhere[node.name] == Counter(_references(node))[node.name]
+    )
+    assert not unused, unused

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from test_differential import dense_circuit, paired_circuit, random_circuit
+from test_differential import acceptance_rule, dense_circuit, paired_circuit, random_circuit
 
 from notouch.circuit import (
     Circuit,
@@ -35,12 +35,11 @@ from notouch.fock import BOSON, FERMION, FockState, anyon, canonicalize, norm
 from notouch.paths import (
     PathHistory,
     TouchReport,
-    _acceptance_rule,
     _branches,
     _canonical,
     _injection_labels,
-    _pair_bits,
     _particle_paths,
+    _rails,
     _touch_events,
     _walk,
     enumerate_histories,
@@ -111,7 +110,7 @@ def product_walk(c):
 
 
 def reference_run(c, statistics):
-    accept = _acceptance_rule(c.target_pairs)
+    accept = acceptance_rule(c.target_pairs)
     species = _injection_labels(c) if statistics is None else None
     terms, kept, histories = {}, {}, []
     for _, finals, amplitude in product_walk(c):
@@ -143,7 +142,7 @@ def reference_histories(c, statistics):
 
 
 def reference_verify(c, statistics, post_select):
-    accepted = _acceptance_rule(c.target_pairs)
+    accepted = acceptance_rule(c.target_pairs)
     events, total, checked = [], 0, 0
     for paths, finals, amplitude in product_walk(c):
         total += 1
@@ -224,8 +223,8 @@ def test_the_cut_walk_expands_only_accepted_prefixes():
             reads.append(depth)
             return super().__getitem__(depth)
 
-    bit_of = _pair_bits(c.target_pairs)
-    levels = Levels(list(_particle_paths(c, mode, bit_of)) for mode in sorted(c.injections))
+    rail_of = _rails(c.target_pairs)
+    levels = Levels(list(_particle_paths(c, mode, rail_of)) for mode in sorted(c.injections))
     assert len(list(_walk(levels, n, True))) == 2
     assert len(reads) == n * (n + 1) // 2
     reads.clear()
