@@ -7,7 +7,7 @@ accepted events never bring two particles together.
 
 Importing the package loads no numpy, nor do synthesis and ``fidelity``.
 numpy loads when ``notouch.analysis`` is imported, on the first use of one
-of its names, and on the first read of ``.matrix`` or ``.amplitudes``.
+of its names, and on the first read of ``QubitState.amplitudes``.
 """
 
 __version__ = "0.1.0"
@@ -30,11 +30,8 @@ from .circuit import (
 )
 from .engine import (
     RunOutput,
-    apply_gate,
     computational_distribution,
     extract_dual_rail,
-    inject,
-    post_select,
     run,
     run_distinguishable,
 )
@@ -92,7 +89,6 @@ __all__ = [
     "ZeroProbability",
     "ZeroState",
     "anyon",
-    "apply_gate",
     "bell_circuit",
     "canonicalize",
     "chsh_grid_max",
@@ -106,11 +102,9 @@ __all__ = [
     "ghz_circuit",
     "hadamard_gate",
     "hom_circuit",
-    "inject",
     "load_circuit",
     "norm",
     "permutation_from_one_line",
-    "post_select",
     "run",
     "run_distinguishable",
     "save_circuit",

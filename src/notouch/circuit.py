@@ -14,7 +14,6 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence, Tuple, Union
 
 from .errors import InvalidCircuit, NoTouchError, NotBijective, NotNormalized, SameMode
@@ -49,7 +48,6 @@ class LocalUnitary:
     Column ``j`` of ``rows`` (Python complex, so gates compare by value) gives
     the expansion of a particle entering the j-th support mode: its creation
     operator maps to ``sum_l rows[l][j] *`` (operator on support mode ``l``).
-    ``matrix`` is the same table as an ndarray, built on first read.
     """
 
     support: Tuple[int, ...]
@@ -58,11 +56,6 @@ class LocalUnitary:
     def __post_init__(self):
         object.__setattr__(self, "support", _mode_labels(self.support, "gate support"))
         object.__setattr__(self, "rows", _complex_entries(self.rows))
-
-    @cached_property
-    def matrix(self):
-        import numpy as np
-        return np.array(self.rows, dtype=complex)
 
     def is_unitary(self) -> bool:
         # np.allclose's rule on the Gram matrix (rtol 1e-5 included); nan, inf compare false

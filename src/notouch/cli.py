@@ -64,6 +64,8 @@ def _parse_grid(spec: str) -> list[float]:
         values = [start + i * step for i in range(count)]
     else:
         values = [float(tok) for tok in spec.split(",") if tok.strip()]
+    if not values:
+        raise NoTouchError(f"grid {spec!r} has no angles")
     if not all(math.isfinite(value) for value in values):
         raise NoTouchError(f"grid {spec!r} has a non-finite angle")
     return values

@@ -18,13 +18,13 @@ mode leave the single-occupancy sector; their squared weight is the signed
 histories cancel exactly, so it is zero only up to rounding.
 
 ``inject``, ``apply_gate`` and ``post_select`` are the gate-level test
-reference: a gate gives each particle its (destination, amplitude) branches,
-one for a permutation and the support column for a local unitary, and each
-term expands into their product over the particles, moving the weight of
-branches that doubly occupy a mode into ``escaped`` and re-sorting the rest.
-Chained from ``inject`` it reproduces ``run`` for bosons, fermions and
-labelled particles, but its per-gate anyon phases depend on the order of
-commuting gates, which is why ``run`` does not use it.
+reference, not exported by the package: a gate gives each particle its
+(destination, amplitude) branches, one for a permutation and the support
+column for a local unitary, and each term expands into their product over the
+particles, moving the weight of branches that doubly occupy a mode into
+``escaped`` and re-sorting the rest.  Chained from ``inject`` it reproduces
+``run`` for bosons, fermions and labelled particles, but its per-gate anyon
+phases depend on the order of commuting gates, so ``run`` does not use it.
 """
 
 from __future__ import annotations
@@ -182,8 +182,10 @@ def extract_dual_rail(accepted: FockState, pairs: Sequence[Pair]) -> QubitState:
     """Read the dual-rail qubit register out of a post-selected state.
 
     The particle in pair ``k`` sitting on the pair's first mode encodes bit
-    0, on the second mode bit 1; amplitudes are taken from the canonical
-    ascending-mode form, so all exchange phases are already folded in.  A
+    0, on the second mode bit 1; amplitudes are read from the canonical
+    ascending-mode form.  Local rail rotations (``analysis.correlation``) see
+    this register for bosons, and for every statistics when no pair's interval
+    holds another target mode, but not otherwise under fermions or anyons.  A
     labelled term, or a pair or term off the layout, raises ``PatternMismatch``;
     a register that is empty or cancels to zero raises ``ZeroState``.
     """

@@ -75,7 +75,7 @@ def test_correlation_is_bounded_and_phase_invariant():
     first, second = bell_circuit().input_stage
     phased = replace(
         bell_circuit(),
-        input_stage=(LocalUnitary(first.support, np.exp(0.4j) * first.matrix), second),
+        input_stage=(LocalUnitary(first.support, np.exp(0.4j) * np.array(first.rows)), second),
     )
     rotated = run(phased, BOSON)
     for modes, _species, amp in out.accepted.items():
@@ -385,7 +385,7 @@ def _interleaved_circuit(one_line, output_stage=()):
 def _interleaved_anyon_run():
     """Anyon run whose rail pairs interleave and whose output splitter mixes
     modes that both particles reach, so its surface is not bilinear."""
-    splitter = np.diag([1.0, 1.0j]) @ hadamard_gate(1, 3).matrix
+    splitter = np.diag([1.0, 1.0j]) @ np.array(hadamard_gate(1, 3).rows)
     circuit = _interleaved_circuit([4, 1, 3, 2], (LocalUnitary((1, 3), splitter),))
     return run(circuit, anyon(0.7)), circuit.target_pairs
 
@@ -450,6 +450,53 @@ def test_correlation_at_zero_is_the_parity_of_the_register_bits(make):
                 assert abs(value - parity) < 1e-12, (stat, subset)
                 cases += 1
     assert cases > 0
+
+
+def _pair_crosses(pairs):
+    """Whether some pair's interval holds a mode of another target pair."""
+    modes = {m for pair in pairs for m in pair}
+    return any(min(pair) < m < max(pair) for pair in pairs for m in modes - set(pair))
+
+
+def _register_correlation(qubits, thetas):
+    """<psi| (x)_k (cos theta_k Z + sin theta_k X) |psi> on the register, qubit 1 first."""
+    psi = qubits.amplitudes.reshape((2,) * qubits.num_qubits)
+    phi = psi
+    for k, theta in enumerate(thetas):
+        op = np.array([[np.cos(theta), np.sin(theta)], [np.sin(theta), -np.cos(theta)]])
+        phi = np.moveaxis(np.tensordot(op, phi, axes=([1], [k])), 0, k)
+    return float(np.vdot(psi, phi).real)
+
+
+def test_the_register_is_what_rail_rotations_measure_where_no_pair_crosses():
+    # the register reads each accepted term in ascending-mode order, and a rail
+    # rotation sees that order only if moving its particle between the rails
+    # crosses no other pair's particle, or for bosons, whose exchanges pay no
+    # phase; fermions and anyons on crossing layouts are left out, as the two
+    # differ there
+    circuits = [bell_circuit(), ghz_circuit(), w_circuit()]
+    circuits += [paired_circuit(np.random.default_rng(s)) for s in range(2000, 2024)]
+    circuits += [dense_circuit(k, np.random.default_rng(3000 + k)) for k in (2, 3)]
+    circuits += [reaching_circuit(np.random.default_rng(s)) for s in range(1000, 1024)]
+    rng = np.random.default_rng(16)
+    plain_circuits, crossing_boson_runs = set(), 0
+    for index, circuit in enumerate(circuits):
+        pairs = circuit.target_pairs
+        crossing = _pair_crosses(pairs)
+        settings = rng.uniform(0, 2 * np.pi, size=(5, len(pairs)))
+        for stat in (BOSON,) if crossing else (BOSON, FERMION, anyon(0.7), anyon(2.1)):
+            out = run(circuit, stat)
+            if out.probability == 0.0:
+                continue
+            qubits = extract_dual_rail(out.accepted, pairs)
+            for thetas in settings:
+                gap = _register_correlation(qubits, thetas) - correlation(out, thetas, pairs)
+                assert abs(gap) <= 1e-12, (index, stat, thetas)
+            if crossing:
+                crossing_boson_runs += 1
+            else:
+                plain_circuits.add(index)
+    assert len(plain_circuits) >= 10 and crossing_boson_runs >= 40
 
 
 def _bilinear_residual(out, pairs, n):

@@ -365,6 +365,8 @@ SYNTHESIZE_BELL = ["synthesize", "--statistics", "boson", "--out", "never.json",
         (None, [*SYNTHESIZE_BELL, "0.6,0,0.8"],
          "target must be four comma-separated complex amplitudes"),
         (None, [*SYNTHESIZE_BELL, "a,b,c,d"], "cannot parse target amplitudes 'a,b,c,d'"),
+        (None, [*BELL_CORRELATE, "--theta1", ","], "grid ',' has no angles"),
+        (None, [*BELL_CORRELATE, "--theta1", ""], "grid '' has no angles"),
     ],
 )
 def test_bad_arguments_exit_2_with_one_error_line(

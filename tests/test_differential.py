@@ -176,7 +176,7 @@ def transfer_matrix(c: Circuit) -> np.ndarray:
         u = np.eye(n, dtype=complex)
         for gate in gates:
             idx = [m - 1 for m in gate.support]
-            u[np.ix_(idx, idx)] = gate.matrix
+            u[np.ix_(idx, idx)] = np.array(gate.rows)
         return u
 
     p = np.zeros((n, n))

@@ -429,3 +429,29 @@ def test_tracer_records_the_lazily_resolved_analysis_names():
     recorded = {tracer.labels[i] for i in tracer.label}
     assert {"analysis.correlation_table", "analysis.chsh_grid_max"} <= recorded
     assert notouch.correlation_table is original
+
+
+def test_tracer_reaches_the_gate_level_reference_in_engine():
+    # the package does not export inject, apply_gate and post_select, so the
+    # tracer finds them only in notouch.engine
+    import notouch
+    import notouch.engine as engine
+
+    names = {"inject", "apply_gate", "post_select"}
+    assert not names & (set(dir(notouch)) | set(notouch.__all__))
+    tracing = _module_at(ROOT / "perfbench" / "tracing.py", "perfbench_tracing")
+    originals = [engine.inject, engine.apply_gate, engine.post_select]
+    c = bell_circuit()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        state = engine.inject(c)
+        for gate in (*c.input_stage, c.permutation, *c.output_stage):
+            state = engine.apply_gate(state, gate, BOSON)
+        engine.post_select(state, c.target_pairs)
+    finally:
+        tracer.uninstall()
+    recorded = {tracer.labels[i] for i in tracer.label}
+    assert {f"engine.{name}" for name in names} <= recorded
+    assert tracer.counters["engine.apply_gate.terms_in"] > 0
+    assert [engine.inject, engine.apply_gate, engine.post_select] == originals

@@ -37,9 +37,9 @@ def _numpy_imports(node, scope=()):
             yield from _numpy_imports(child, scope + block)
 
 
-def test_numpy_is_imported_only_at_the_three_boundaries():
-    # analysis imports it once at module top; the two ndarray views import it
-    # on first read, so run, verify and synthesize never load it
+def test_numpy_is_imported_only_at_the_two_boundaries():
+    # analysis imports it once at module top; the register's ndarray view
+    # imports it on first read, so run, verify and synthesize never load it
     found = sorted(
         (path.name,) + scope
         for path in PACKAGE.glob("*.py")
@@ -47,7 +47,6 @@ def test_numpy_is_imported_only_at_the_three_boundaries():
     )
     assert found == [
         ("analysis.py",),
-        ("circuit.py", "LocalUnitary", "matrix"),
         ("qubits.py", "QubitState", "amplitudes"),
     ]
 
