@@ -443,12 +443,16 @@ def circuit_from_dict(data: dict) -> Circuit:
 
 
 def save_circuit(c: Circuit, path) -> None:
+    """Write ``c`` to ``path`` as its indented JSON document (``circuit_to_dict``)."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(circuit_to_dict(c), fh, indent=2)
         fh.write("\n")
 
 
 def load_circuit(path) -> Circuit:
+    """Read a circuit saved by ``save_circuit``: text that is not JSON raises
+    ``json.JSONDecodeError``, a malformed document ``NoTouchError`` and an
+    invalid layout ``InvalidCircuit``."""
     with open(path, "r", encoding="utf-8") as fh:
         return circuit_from_dict(json.load(fh))
 

@@ -53,17 +53,26 @@ def _resolve_circuit(token: str) -> Circuit:
 
 def _parse_grid(spec: str) -> list[float]:
     """Either comma-separated values or ``start:stop:count`` (endpoint open)."""
+
+    def number(kind, token):
+        try:
+            return kind(token)
+        except ValueError:
+            raise NoTouchError(
+                f"grid {spec!r} must be comma-separated angles or start:stop:count"
+            ) from None
+
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise NoTouchError(f"grid {spec!r} must be start:stop:count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, count = map(number, (float, float, int), parts)
         if count < 1:
             raise NoTouchError("grid count must be positive")
         step = (stop - start) / count
         values = [start + i * step for i in range(count)]
     else:
-        values = [float(tok) for tok in spec.split(",") if tok.strip()]
+        values = [number(float, tok) for tok in spec.split(",") if tok.strip()]
     if not values:
         raise NoTouchError(f"grid {spec!r} has no angles")
     if not all(math.isfinite(value) for value in values):

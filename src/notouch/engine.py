@@ -7,15 +7,15 @@ particle per target rail pair, as ``paths._occupants`` reads them.
 
 ``run`` and ``run_distinguishable`` fold the depth-first history walk of
 ``paths`` with one rule, ``_fold``: each history whose final modes are
-distinct adds its amplitude to its canonical final pattern.  The full walk
-builds only ``pre_selection``; ``accepted`` and ``RunOutput.histories`` come
-from the cut walk, post-selection's one rule, and ``analysis`` folds those
-histories with the rail rotations appended.  ``run`` takes each phase from a
-table of ``reorder_phase`` over the walk's inversion counts; labelled runs
-key histories by ``paths._canonical``.  Histories with two particles in one
-mode leave the single-occupancy sector; their squared weight is the signed
-``escaped`` ledger, ``1 - norm(state)**2``.  For fermions the colliding
-histories cancel exactly, so it is zero only up to rounding.
+distinct adds its amplitude times the phase of its inversion count, from a
+table of ``reorder_phase``, to its canonical final pattern.  Labelled runs
+fold with the boson table, every entry 1, and key by ``paths._canonical``.
+The full walk builds only ``pre_selection``; ``accepted`` and
+``RunOutput.histories`` come from the cut walk, post-selection's one rule,
+and ``analysis`` folds those histories with the rail rotations appended.
+Histories with two particles in one mode leave the single-occupancy sector;
+``escaped`` is their weight by complement, ``1 - norm(state)**2``, signed and
+for fermions zero only up to rounding.
 
 ``inject``, ``apply_gate`` and ``post_select`` are the gate-level test
 reference, not exported by the package: a gate gives each particle its
@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .circuit import Circuit, Gate, Permute
-from .errors import DuplicateMode, PatternMismatch, ZeroState
-from .fock import FockState, Statistics, norm
+from .errors import DuplicateMode, NoTouchError, PatternMismatch, ZeroState
+from .fock import BOSON, FockState, Statistics, norm
 from .paths import (
     Pair, _branch_combinations, _branches, _canonical, _injection_labels, _occupants, _rails
 )
@@ -121,27 +121,21 @@ def post_select(state: FockState, pairs: Sequence[Pair]) -> Tuple[FockState, flo
 
 def _fold(walk, species, phases) -> dict:
     """Sum the collision-free histories of ``walk`` per canonical final pattern,
-    each times ``phases[inversions]``, or keyed with ``species`` and no phase."""
+    each times ``phases[inversions]``; ``species`` labels the particles' keys."""
     terms: dict = {}
     for _, finals, amplitude, inversions in walk:
         if inversions is None:  # two particles in one mode
             continue
-        if species is None:
-            key, phase = (tuple(sorted(finals)), None), phases[inversions]
-        else:
-            key, phase = _canonical(finals, species, None)
-        terms[key] = terms.get(key, 0.0 + 0.0j) + amplitude * phase
+        key = ((tuple(sorted(finals)), None) if species is None
+               else _canonical(finals, species, None)[0])
+        terms[key] = terms.get(key, 0.0 + 0.0j) + amplitude * phases[inversions]
     return terms
 
 
-def _run(c: Circuit, statistics: Optional[Statistics]) -> RunOutput:
+def _run(c: Circuit, statistics: Statistics, species=None) -> RunOutput:
     """Fold the full walk into ``pre_selection`` only and the cut walk's leaves
-    into ``accepted`` and ``histories``.  With ``statistics`` of ``None`` the
-    particles carry ``_injection_labels``."""
-    species = _injection_labels(c) if statistics is None else None
-    phases = None  # labelled particles pay none
-    if species is None:  # the phase of every inversion count the particles can have
-        phases = [statistics.reorder_phase(i) for i in range(math.comb(len(c.injections), 2) + 1)]
+    into ``accepted`` and ``histories``; labelled runs pass ``species``."""
+    phases = [statistics.reorder_phase(i) for i in range(math.comb(len(c.injections), 2) + 1)]
     _, walk = _branch_combinations(c)
     state = FockState._from_canonical(c.num_modes, _fold(walk, species, phases))
     state.escaped = 1.0 - norm(state) ** 2
@@ -149,22 +143,26 @@ def _run(c: Circuit, statistics: Optional[Statistics]) -> RunOutput:
     accepted = FockState._from_canonical(c.num_modes, _fold(leaves, species, phases))
     probability = sum(abs(amp) ** 2 for _, _, amp in accepted.items())
     histories = tuple((finals, species, amplitude) for _, finals, amplitude, _ in leaves)
-    return RunOutput(state, accepted, probability, statistics, histories)
+    recorded = statistics if species is None else None  # labelled runs record none
+    return RunOutput(state, accepted, probability, recorded, histories)
 
 
 def run(c: Circuit, statistics: Statistics) -> RunOutput:
-    """Execute the full pipeline for indistinguishable particles."""
+    """Execute the full pipeline for indistinguishable particles; anything but
+    a ``Statistics`` raises ``NoTouchError``."""
+    if not isinstance(statistics, Statistics):
+        raise NoTouchError(f"run takes a Statistics, not {statistics!r}; see run_distinguishable")
     return _run(c, statistics)
 
 
 def run_distinguishable(c: Circuit) -> RunOutput:
     """Execute the pipeline with a distinct label on every particle.
 
-    Terms whose particles land in the same modes but with different label
-    assignments stay orthogonal, so no exchange interference occurs; the
-    output carries only classical correlations.
+    Terms whose particles land in the same modes with different labels stay
+    orthogonal, so no exchange interference occurs and the output carries only
+    classical correlations.  The boson phase table is all 1: labels pay none.
     """
-    return _run(c, None)
+    return _run(c, BOSON, _injection_labels(c))
 
 
 def _register(state: FockState, pairs: Sequence[Pair]):
@@ -187,7 +185,7 @@ def extract_dual_rail(accepted: FockState, pairs: Sequence[Pair]) -> QubitState:
     this register for bosons, and for every statistics when no pair's interval
     holds another target mode, but not otherwise under fermions or anyons.  A
     labelled term, or a pair or term off the layout, raises ``PatternMismatch``;
-    a register that is empty or cancels to zero raises ``ZeroState``.
+    an empty register raises ``ZeroState``.
     """
     sums: dict = {}  # register index, qubit 1 the most significant bit -> amplitude
     for bits, labels, amp in _register(accepted, pairs):

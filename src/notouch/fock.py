@@ -64,12 +64,13 @@ class Statistics:
             raise ValueError(f"{self.kind} statistics take no exchange angle, got {self.theta!r}")
 
     def reorder_phase(self, inversions: int) -> complex:
-        """Phase for a reordering with the given number of inversions."""
+        """Phase for a reordering with the given number of inversions; the
+        anyon angle is first reduced to [-pi, pi], where it stays exact."""
         if self.kind == "boson":
             return 1.0 + 0.0j
         if self.kind == "fermion":
             return -1.0 + 0.0j if inversions % 2 else 1.0 + 0.0j
-        return cmath.exp(1j * self.theta * inversions)
+        return cmath.exp(1j * math.remainder(self.theta, 2 * math.pi) * inversions)
 
     @classmethod
     def parse(cls, token: str) -> "Statistics":

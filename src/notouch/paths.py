@@ -77,6 +77,10 @@ class TouchEvent:
 
 @dataclass(frozen=True)
 class TouchReport:
+    """Verdict of ``verify_no_touching``: ``passed`` when no checked history
+    touches, each touch found as a ``TouchEvent``, the product of the branch
+    counts and how many histories were checked."""
+
     passed: bool
     counterexamples: Tuple[TouchEvent, ...]
     histories_total: int

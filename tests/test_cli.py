@@ -347,6 +347,12 @@ def test_synthesize_zero_target_exit_code(tmp_path, capsys):
     assert "zero" in err
 
 
+def test_run_takes_an_anyon_angle_of_any_finite_size(capsys):
+    code, out, _ = run_cli(capsys, "run", "--protocol", "w", "--statistics", "anyon:1e308")
+    assert code == 0
+    assert json.loads(out)["probability"] == 0.15
+
+
 def _one_error_line(code, out, err):
     return code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
@@ -367,6 +373,11 @@ SYNTHESIZE_BELL = ["synthesize", "--statistics", "boson", "--out", "never.json",
         (None, [*SYNTHESIZE_BELL, "a,b,c,d"], "cannot parse target amplitudes 'a,b,c,d'"),
         (None, [*BELL_CORRELATE, "--theta1", ","], "grid ',' has no angles"),
         (None, [*BELL_CORRELATE, "--theta1", ""], "grid '' has no angles"),
+        *[
+            (None, [*BELL_CORRELATE, "--theta1", grid],
+             f"grid '{grid}' must be comma-separated angles or start:stop:count")
+            for grid in ("0:1:0.5", "a:1:3", "0,x")
+        ],
     ],
 )
 def test_bad_arguments_exit_2_with_one_error_line(

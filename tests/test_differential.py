@@ -12,6 +12,7 @@ oracle is the same sum over ``T' = R(theta) T``.
 """
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -21,9 +22,11 @@ from notouch.analysis import correlation
 from notouch.circuit import (
     Circuit,
     LocalUnitary,
+    _ghz_ring,
     bell_circuit,
     ghz_circuit,
     hadamard_gate,
+    hom_circuit,
     permutation_from_one_line,
     w_circuit,
 )
@@ -36,7 +39,7 @@ from notouch.engine import (
     run_distinguishable,
 )
 from notouch.fock import BOSON, FERMION, anyon, canonicalize, count_inversions, norm
-from notouch.paths import _occupants, _rails, enumerate_histories
+from notouch.paths import _injection_labels, _occupants, _rails, enumerate_histories
 
 STATS = (BOSON, FERMION, anyon(0.7), anyon(2.1))
 TOL = 1e-12
@@ -283,6 +286,32 @@ def _check_accepted(c: Circuit, out, oracle: dict, labelled: bool = False) -> No
     assert abs(out.probability - sum(abs(amp) ** 2 for amp in kept.values())) <= TOL
 
 
+def check_escaped_ledger(c: Circuit) -> None:
+    """``escaped`` against the colliding histories themselves, where the line
+    ``norm ** 2 + escaped == 1`` only restates its complement.  Bosons escape
+    ``prod_m n_m! |sum amp|^2`` per multi-occupied final pattern, labelled
+    particles ``|sum amp|^2`` per labelled one (no factorial), and fermions
+    nothing.  This model defines no double occupancy for anyons with theta
+    outside {0, pi}, so they are left out."""
+    labels = _injection_labels(c)
+    bosons: dict = {}
+    labelled: dict = {}
+    for h in enumerate_histories(c, BOSON):  # colliding histories pay no phase
+        if len(set(h.final_modes)) < len(h.final_modes):
+            pattern = tuple(sorted(h.final_modes))
+            bosons[pattern] = bosons.get(pattern, 0.0) + h.amplitude
+            assignment = tuple(sorted(zip(h.final_modes, labels)))
+            labelled[assignment] = labelled.get(assignment, 0.0) + h.amplitude
+    boson_escape = sum(
+        math.prod(math.factorial(pattern.count(m)) for m in set(pattern)) * abs(amp) ** 2
+        for pattern, amp in bosons.items()
+    )
+    assert abs(run(c, BOSON).pre_selection.escaped - boson_escape) <= TOL
+    labelled_escape = sum(abs(amp) ** 2 for amp in labelled.values())
+    assert abs(run_distinguishable(c).pre_selection.escaped - labelled_escape) <= TOL
+    assert abs(norm(run(c, FERMION).pre_selection) ** 2 - 1.0) <= TOL
+
+
 def check_against_oracle(c: Circuit) -> None:
     flipped = _reversed_stages(c)
     for stat in STATS:
@@ -303,9 +332,26 @@ def check_against_oracle(c: Circuit) -> None:
     assert _max_gap(pre_d, oracle_d, labelled=True) <= TOL
     _check_accepted(c, out_d, oracle_d, labelled=True)
     assert abs(norm(pre_d) ** 2 + pre_d.escaped - 1.0) <= TOL
+    check_escaped_ledger(c)
     flipped_d = run_distinguishable(flipped).pre_selection
     labelled = {(modes, species): amp for modes, species, amp in pre_d.items()}
     assert _max_gap(flipped_d, labelled, labelled=True) <= TOL
+
+
+@pytest.mark.parametrize(
+    "build",
+    [pytest.param(build, id=build.__name__)
+     for build in (bell_circuit, ghz_circuit, w_circuit, hom_circuit)]
+    + [pytest.param(lambda: _ghz_ring(6), id="ring6")],
+)
+def test_the_escaped_ledger_equals_the_colliding_histories(build):
+    check_escaped_ledger(build())
+
+
+def test_hom_escapes_half_the_labelled_weight():
+    # each particle takes either output with weight 1/2, and two of the four
+    # labelled assignments share a mode; bosons escape entirely (test_engine)
+    assert abs(run_distinguishable(hom_circuit()).pre_selection.escaped - 0.5) <= TOL
 
 
 @pytest.mark.parametrize("seed", range(24))

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,21 @@ def test_run_distinguishable_bell():
     assert abs(out.accepted.amplitude([1, 3], species=[1, 2]) - 0.5) < 1e-12
     assert abs(out.accepted.amplitude([2, 4], species=[2, 1]) - 0.5) < 1e-12
     assert out.statistics is None
+
+
+@pytest.mark.parametrize("statistics", [None, "boson"])
+def test_run_takes_only_a_statistics(statistics):
+    # labelled particles have their own entry, which the message names
+    with pytest.raises(NoTouchError, match="run_distinguishable"):
+        run(bell_circuit(), statistics)
+    assert run_distinguishable(bell_circuit()).statistics is None
+
+
+def test_an_anyon_angle_of_any_finite_size_runs():
+    # the angle is reduced modulo 2 pi before it multiplies an inversion count
+    huge = run(w_circuit(), anyon(1e308))
+    reduced = run(w_circuit(), anyon(math.remainder(1e308, 2 * math.pi)))
+    assert list(huge.accepted.items()) == list(reduced.accepted.items())
 
 
 def test_distinguishable_matches_indistinguishable_in_computational_basis():

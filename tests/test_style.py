@@ -1,8 +1,13 @@
 """Source layout rules for the package."""
 
 import ast
+import inspect
+import re
+import textwrap
 from collections import Counter
 from pathlib import Path
+
+import notouch
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "notouch"
 MAX_COLUMNS = 99
@@ -77,3 +82,24 @@ def test_every_private_helper_has_a_caller_in_the_package():
         and everywhere[node.name] == Counter(_references(node))[node.name]
     )
     assert not unused, unused
+
+
+def test_every_exported_class_and_function_has_its_own_docstring():
+    # read from the source: a dataclass without one gets its generated
+    # signature as ``__doc__``
+    exported = [getattr(notouch, name) for name in notouch.__all__]
+    undocumented = sorted(
+        obj.__name__
+        for obj in exported
+        if (inspect.isclass(obj) or inspect.isfunction(obj))
+        and not ast.get_docstring(ast.parse(textwrap.dedent(inspect.getsource(obj))).body[0])
+    )
+    assert not undocumented, undocumented
+
+
+def test_the_readme_layout_lists_every_module():
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"^- `src/notouch/(\w+\.py)`", layout, re.MULTILINE))
+    modules = {path.name for path in PACKAGE.glob("*.py")} - {"__init__.py"}
+    assert listed == modules, sorted(listed ^ modules)
